@@ -10,8 +10,9 @@ Subcommands:
 - psc: print solid coalitions, quota constraints, compatible committees,
   and optionally the constrained scoring winner or a Hare-quota audit.
 
-Exit codes: 0 success, 2 input problems (unreadable or malformed files, bad
-parameters), 3 computation refusals (non-convergence, enumeration guards,
+Exit codes: 0 success, 1 a batch record that failed its spot check (the
+reports are still written), 2 input problems (unreadable or malformed files,
+bad parameters), 3 computation refusals (non-convergence, enumeration guards,
 oracle budgets).
 """
 
@@ -364,7 +365,7 @@ def cmd_batch(args) -> int:
         f"{failures} failures",
         file=sys.stderr,
     )
-    return 0
+    return 1 if failures else 0
 
 
 def _parse_config_default() -> dict:

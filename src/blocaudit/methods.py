@@ -243,45 +243,74 @@ def meek_stv(
     Each ballot's weight flows down its ranking; candidate c retains keep[c]
     of whatever reaches them. The quota (V - exhausted)/(k+1) is recomputed
     every iteration; elected candidates' keep factors are rescaled by
-    quota/votes until every elected total sits within tolerance of quota.
-    Keep factors are quantized to denominator 1e18 per update so rational
-    sizes stay bounded; the quantization error is far below the default
-    tolerance of 1e-9. When no progress is possible the lowest hopeful is
-    excluded. Fails loudly if max_iterations passes without convergence.
+    quota/votes until every elected total sits within tolerance (an exact
+    rational, default 1e-9) of quota. When no progress is possible the
+    lowest hopeful is excluded. max_iterations caps the keep-factor
+    iterations of the whole count, summed over every stage rather than per
+    stage; passing it raises MeekNonConvergenceError.
+
+    The count runs in exact integer fixed point, after Hill, Wichmann and
+    Woodall, "Algorithm 123", Computer Journal 30(3), 1987. A keep factor
+    is an integer K <= D = MEEK_KEEP_DENOMINATOR standing for K/D; each
+    update rounds keep*quota/votes down to a multiple of 1/D, far below the
+    default tolerance. With L the longest ranking, a ballot type of
+    multiplicity n starts with weight n*D**L, so totals and exhausted weight
+    are integers over D**L. A candidate with keep K takes w*K // D, and the
+    division is exact: each earlier position with 0 < K < D multiplied w by
+    (D-K)/D, so before the j-th such position (j = 0, 1, ..., at most L-1)
+    w is still a multiple of D**(L-j) and D divides w*K. A position with
+    K = D takes all of w. Values become rationals only to fill each Round,
+    so the log holds exactly the totals, quotas, exhausted weight and keep
+    factors of the same count done in rationals.
     """
     profile = election.profile
     k = election.k
     if tolerance is None:
         tolerance = rational(1, 10**9)
     total = profile.total_ballots
+    D = MEEK_KEEP_DENOMINATOR
+    scale = D ** max(len(bt.ranking) for bt in profile.ballots)
+    full = total * scale
+    # quota = (full - exhausted) / quota_den = quota_num / quota_den, so a
+    # total T reaches it when T*(k+1) >= quota_num; the tolerance is scaled
+    # to the same unit 1/quota_den.
+    quota_den = (k + 1) * scale
+    tolerance_scaled = tolerance * quota_den
 
     ids = [c.id for c in profile.candidates]
     status = {cid: HOPEFUL for cid in ids}
-    keep = {cid: ONE for cid in ids}
-    ballots = [(bt.ranking, bt.multiplicity) for bt in profile.ballots]
+    keep = [D] * len(ids)
+    keep_exact = [ONE] * len(ids)  # keep[c] / D, rebuilt only when keep[c] moves
+    ballots = [(bt.ranking, bt.multiplicity * scale) for bt in profile.ballots]
 
-    def quantize(x):
-        return rational(
-            x.numerator * MEEK_KEEP_DENOMINATOR // x.denominator,
-            MEEK_KEEP_DENOMINATOR,
-        )
-
-    def distribute() -> tuple[dict[int, object], object]:
-        totals = {cid: ZERO for cid in ids}
-        exhausted = ZERO
-        for ranking, mult in ballots:
-            w = rational(mult)
+    def distribute() -> tuple[list[int], int]:
+        totals = [0] * len(ids)
+        exhausted = 0
+        for ranking, w in ballots:
             for cid in ranking:
                 kf = keep[cid]
-                if kf == 0:
-                    continue
-                take = w * kf
-                totals[cid] += take
-                w -= take
-                if w == 0:
+                if kf == D:
+                    totals[cid] += w
+                    w = 0
                     break
+                if kf:
+                    take = w * kf // D
+                    totals[cid] += take
+                    w -= take
             exhausted += w
         return totals, exhausted
+
+    def exact(value: int):
+        return rational(value, scale) if value else ZERO
+
+    def snapshot(totals: list[int], exhausted: int) -> Round:
+        return Round(
+            len(rounds) + 1,
+            {cid: exact(totals[cid]) for cid in ids},
+            rational(full - exhausted, quota_den),
+            exact(exhausted),
+            keep_factors=dict(zip(ids, keep_exact)),
+        )
 
     elected: list[int] = []
     rounds: list[Round] = []
@@ -294,14 +323,7 @@ def meek_stv(
         open_seats = k - len(elected)
         if len(hopefuls) == open_seats:
             totals, exhausted = distribute()
-            quota = (rational(total) - exhausted) / rational(k + 1)
-            rnd = Round(
-                len(rounds) + 1,
-                totals,
-                quota,
-                exhausted,
-                keep_factors=dict(keep),
-            )
+            rnd = snapshot(totals, exhausted)
             for c in sorted(hopefuls):
                 status[c] = ELECTED
                 elected.append(c)
@@ -315,19 +337,17 @@ def meek_stv(
             if iteration > max_iterations:
                 raise MeekNonConvergenceError(max_iterations)
             totals, exhausted = distribute()
-            quota = (rational(total) - exhausted) / rational(k + 1)
-            rnd = Round(
-                len(rounds) + 1,
-                totals,
-                quota,
-                exhausted,
-                keep_factors=dict(keep),
-            )
+            quota_num = full - exhausted
+            rnd = snapshot(totals, exhausted)
             rounds.append(rnd)
 
             open_seats = k - len(elected)
             crossers = sorted(
-                (c for c in ids if status[c] == HOPEFUL and totals[c] >= quota),
+                (
+                    c
+                    for c in ids
+                    if status[c] == HOPEFUL and totals[c] * (k + 1) >= quota_num
+                ),
                 key=lambda c: (-totals[c], c),
             )
             if len(crossers) > open_seats:
@@ -347,7 +367,8 @@ def meek_stv(
                 break
 
             converged = not crossers and all(
-                abs(totals[c] - quota) <= tolerance for c in elected
+                abs(totals[c] * (k + 1) - quota_num) <= tolerance_scaled
+                for c in elected
             )
             if converged:
                 hopefuls = [c for c in ids if status[c] == HOPEFUL]
@@ -359,14 +380,18 @@ def meek_stv(
                     )
                 out = tied[0]
                 status[out] = ELIMINATED
-                keep[out] = ZERO
+                keep[out] = 0
+                keep_exact[out] = ZERO
                 rnd.events.append(RoundEvent("eliminated", out))
                 break
 
             for c in elected:
                 if totals[c] > 0:
-                    scaled = quantize(keep[c] * quota / totals[c])
-                    keep[c] = scaled if scaled < ONE else ONE
+                    # floor(D * keep*quota/votes), capped at 1
+                    scaled = min(keep[c] * quota_num // ((k + 1) * totals[c]), D)
+                    if scaled != keep[c]:
+                        keep[c] = scaled
+                        keep_exact[c] = ONE if scaled == D else rational(scaled, D)
 
     members = frozenset(elected)
     winners = WinnerSet(members, _fate_tie_flag(tie_events, members))
@@ -618,7 +643,12 @@ def tabulate(
     tolerance=None,
     max_iterations: int = DEFAULT_MEEK_MAX_ITERATIONS,
 ) -> TabulationResult:
-    """Run one of the five rules by tag; see METHOD_TAGS."""
+    """Run one of the five rules by tag; see METHOD_TAGS.
+
+    tolerance and max_iterations apply to Meek only (see meek_stv).
+    max_iterations caps the keep-factor iterations of the whole count,
+    summed over every stage, not of each stage.
+    """
     if method == "scottish":
         return scottish_stv(election)
     if method == "meek":

@@ -1,9 +1,9 @@
 """Exact rational arithmetic helpers.
 
-gmpy2's mpq is used when available because it is much faster at the
-denominator sizes Meek iterations produce; fractions.Fraction is the
-drop-in fallback. Both expose .numerator/.denominator and mix freely
-with ints, which is all the package relies on.
+gmpy2's mpq is used when available because it is faster;
+fractions.Fraction is the drop-in fallback. Both expose
+.numerator/.denominator and mix freely with ints, which is all the package
+relies on.
 """
 
 from __future__ import annotations

@@ -256,6 +256,22 @@ def test_batch_resume_skips_done(tmp_path, corpus, capsys):
     assert (out_dir / "records.jsonl").read_text() == first
 
 
+def test_batch_spot_check_failure_exits_nonzero(
+    tmp_path, corpus, capsys, monkeypatch
+):
+    monkeypatch.setattr("blocaudit.cli._spot_check", lambda record, path: False)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(CFG)
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        capsys, "batch", str(corpus), "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 1
+    assert "spot-check FAILED" in err
+    for name in ("records.jsonl", "rows.csv", "report.csv"):
+        assert (out_dir / name).read_text()
+
+
 def test_batch_rejects_bad_config(tmp_path, corpus, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("sigma_l=ten\n")

@@ -8,11 +8,13 @@ import golden
 from blocaudit import (
     Election,
     EnumerationGuardError,
+    MeekNonConvergenceError,
     ScoringVector,
     borda_vector,
     cc_score,
     droop_quota,
     make_election,
+    meek_stv,
     plurality_vector,
     positional_scores,
     remove_ballots,
@@ -21,6 +23,7 @@ from blocaudit import (
 )
 from blocaudit.rationals import ONE, ZERO, rational
 from conftest import assert_rounds_match, random_profile, round1
+from meek_reference import reference_meek_stv
 
 # ------------------------------------------------------------ real wards
 
@@ -273,6 +276,70 @@ def test_meek_conservation(east_ayrshire):
     assert sum(final.totals.values(), ZERO) + final.exhausted == v
 
 
+def assert_same_count(got, want):
+    """Two tabulations agree on the winners and on every exact log entry."""
+    assert got.winners == want.winners
+    assert got.log.method == want.log.method
+    assert got.log.quota == want.log.quota
+    assert got.log.tie_events == want.log.tie_events
+    assert len(got.log.rounds) == len(want.log.rounds)
+    for mine, theirs in zip(got.log.rounds, want.log.rounds):
+        where = f"round {theirs.number}"
+        assert mine.number == theirs.number, where
+        assert mine.totals == theirs.totals, where
+        assert mine.quota == theirs.quota, where
+        assert mine.exhausted == theirs.exhausted, where
+        assert mine.keep_factors == theirs.keep_factors, where
+        assert mine.events == theirs.events, where
+        assert mine.threshold == theirs.threshold, where
+
+
+@pytest.mark.parametrize("tolerance", [None, rational(1, 10**3), rational(1, 10**15)])
+def test_meek_round_logs_match_rational_reference_on_wards(
+    east_ayrshire, north_ayrshire, tolerance
+):
+    for election in (east_ayrshire, north_ayrshire):
+        assert_same_count(
+            meek_stv(election, tolerance=tolerance),
+            reference_meek_stv(election, tolerance=tolerance),
+        )
+
+
+def test_meek_round_logs_match_rational_reference_on_randoms():
+    import random
+
+    for seed in (90125, 4821):
+        rng = random.Random(seed)
+        for _ in range(40):
+            election = random_profile(rng, m_max=6, v_max=40, k_max=3)
+            assert_same_count(meek_stv(election), reference_meek_stv(election))
+
+
+# North Ayrshire's Meek count runs 42 keep-factor iterations in all
+NA_MEEK_ITERATIONS = 42
+
+
+def test_meek_iteration_cap_counts_the_whole_count(north_ayrshire):
+    result = meek_stv(north_ayrshire, max_iterations=NA_MEEK_ITERATIONS)
+    assert result == meek_stv(north_ayrshire)
+    # every round of this count is one iteration
+    assert len(result.log.rounds) == NA_MEEK_ITERATIONS
+    # eliminations split the count into stages, and no stage alone comes
+    # near the cap: it binds only because iterations accumulate across them
+    stage_ends = [0, NA_MEEK_ITERATIONS] + [
+        rnd.number
+        for rnd in result.log.rounds
+        if any(ev.kind == "eliminated" for ev in rnd.events)
+    ]
+    stage_ends.sort()
+    longest_stage = max(b - a for a, b in zip(stage_ends, stage_ends[1:]))
+    assert longest_stage < NA_MEEK_ITERATIONS // 2
+    with pytest.raises(MeekNonConvergenceError):
+        meek_stv(north_ayrshire, max_iterations=NA_MEEK_ITERATIONS - 1)
+    with pytest.raises(MeekNonConvergenceError):
+        tabulate(north_ayrshire, "meek", max_iterations=NA_MEEK_ITERATIONS - 1)
+
+
 # --------------------------------------------------------------------- EAR
 
 
@@ -503,3 +570,32 @@ def test_bullet_only_profiles_agree_across_stv_variants(election):
     meek = tabulate(flat, "meek")
     if not scottish.winners.tie_flag and not meek.winners.tie_flag:
         assert scottish.winners.members == meek.winners.members
+
+
+@st.composite
+def tied_elections(draw):
+    """Profiles symmetric in candidates 0 and 1, so the two tie throughout.
+
+    Every ballot type is paired with its mirror image under swapping 0 and 1,
+    so any election or elimination that separates them is a recorded tie.
+    """
+    base = draw(elections())
+    swap = {0: 1, 1: 0}
+    ballots = {}
+    for bt in base.profile.ballots:
+        for ranking in (bt.ranking, tuple(swap.get(c, c) for c in bt.ranking)):
+            ballots[ranking] = ballots.get(ranking, 0) + bt.multiplicity
+    names = [c.name for c in base.profile.candidates]
+    return make_election(names, sorted(ballots.items()), base.k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(elections(), tied_elections()),
+    st.sampled_from([None, rational(1, 10**4), rational(1, 10**15)]),
+)
+def test_meek_round_logs_match_rational_reference(election, tolerance):
+    assert_same_count(
+        meek_stv(election, tolerance=tolerance),
+        reference_meek_stv(election, tolerance=tolerance),
+    )
