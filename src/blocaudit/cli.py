@@ -27,11 +27,10 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .criteria import (
+    CHECKS,
     CRITERIA,
+    ProbeSession,
     SearchParams,
-    check_ilvb,
-    check_iwvb,
-    check_iwvb_star,
     record_to_json,
     search_ilvb,
     search_iwvb,
@@ -42,12 +41,12 @@ from .formats import load_election, serialize_blt
 from .methods import (
     METHOD_TAGS,
     ScoringVector,
-    droop_quota,
     result_to_json,
     tabulate,
 )
 from .profiles import Election, selection_ballots, selection_from_rankings
 from .psc import (
+    QUOTAS,
     audit_hare_psc,
     constraint_to_json,
     enumerate_psc_committees,
@@ -55,7 +54,7 @@ from .psc import (
     qpsc_scoring_rule,
     solid_coalitions,
 )
-from .rationals import decimal_string, parse_rational, rational
+from .rationals import decimal_string, parse_rational
 from .worstcase import FAMILIES, GeneratorSpec, generate
 
 AUDIT_METHODS = ("scottish", "meek", "ear", "cc-om", "cc-pm")
@@ -137,24 +136,30 @@ def cmd_tabulate(args) -> int:
 
 
 def _audit_one(election: Election, methods, criteria, params, party_swaps):
-    """All violation records for one election, in a deterministic order."""
+    """All violation records for one election, in a deterministic order.
+
+    The searches of one rule share one probe session (see ProbeSession).
+    """
     records = []
     tied_methods = []
     for method in methods:
-        base = tabulate(election, method)
-        if base.winners.tie_flag:
+        session = ProbeSession(election, method)
+        if session.before.tie_flag:
             tied_methods.append(method)
         for criterion in criteria:
             if criterion == "ILVB":
-                found = search_ilvb(election, method, params)
+                found = search_ilvb(election, method, params, session=session)
             else:
+                star = criterion == "IWVB_STAR"
                 found = search_iwvb(
-                    election, method, params, star_mode=criterion == "IWVB_STAR"
+                    election, method, params, star_mode=star, session=session
                 )
             records.extend(found)
             if party_swaps:
                 records.extend(
-                    search_party_swaps(election, method, params, criterion)
+                    search_party_swaps(
+                        election, method, params, criterion, session=session
+                    )
                 )
     return records, tied_methods
 
@@ -195,27 +200,21 @@ def cmd_audit(args) -> int:
 
 # ------------------------------------------------------------------- batch
 
-_CONFIG_KEYS = (
-    "methods",
-    "criteria",
-    "sigma_l",
-    "sigma_w",
-    "party_swaps",
-    "workers",
-    "q_mode",
-)
+_CONFIG_DEFAULTS = {
+    "methods": AUDIT_METHODS,
+    "criteria": CRITERIA,
+    "sigma_l": 10,
+    "sigma_w": 3,
+    "party_swaps": False,
+    "workers": None,
+}
 
 
-def _parse_config(path: str) -> dict:
-    cfg = {
-        "methods": list(AUDIT_METHODS),
-        "criteria": list(CRITERIA),
-        "sigma_l": 10,
-        "sigma_w": 3,
-        "party_swaps": False,
-        "workers": None,
-        "q_mode": "droop",
-    }
+def _parse_config(path: str | None) -> dict:
+    """The batch settings: the defaults, overridden by key=value lines in path."""
+    cfg = dict(_CONFIG_DEFAULTS)
+    if path is None:
+        return cfg
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -224,10 +223,10 @@ def _parse_config(path: str) -> dict:
             raise InputError(f"{path}:{line_no}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_DEFAULTS:
             raise InputError(
                 f"{path}:{line_no}: unknown key {key!r}; "
-                f"expected one of {', '.join(_CONFIG_KEYS)}"
+                f"expected one of {', '.join(_CONFIG_DEFAULTS)}"
             )
         if key == "methods":
             cfg[key] = _parse_list(value, METHOD_TAGS, "method")
@@ -245,10 +244,6 @@ def _parse_config(path: str) -> dict:
             if value not in ("true", "false"):
                 raise InputError(f"{path}:{line_no}: party_swaps must be true or false")
             cfg[key] = value == "true"
-        elif key == "q_mode":
-            if value not in ("droop", "hare"):
-                raise InputError(f"{path}:{line_no}: q_mode must be droop or hare")
-            cfg[key] = value
     return cfg
 
 
@@ -280,12 +275,7 @@ def _spot_check(record: dict, path: Path) -> bool:
         election.profile,
         [(tuple(entry["ranking"]), entry["count"]) for entry in record["removed"]],
     )
-    check = {
-        "ILVB": check_ilvb,
-        "IWVB": check_iwvb,
-        "IWVB_STAR": check_iwvb_star,
-    }[record["criterion"]]
-    fresh = check(election, record["method"], selection)
+    fresh = CHECKS[record["criterion"]](election, record["method"], selection)
     return (
         fresh is not None
         and sorted(fresh.original_winners.members) == record["winners_before"]
@@ -297,7 +287,7 @@ def cmd_batch(args) -> int:
     corpus = Path(args.dir)
     if not corpus.is_dir():
         raise InputError(f"not a directory: {corpus}")
-    cfg = _parse_config(args.config) if args.config else _parse_config_default()
+    cfg = _parse_config(args.config)
     out_dir = Path(args.out) if args.out else corpus / "audit_out"
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.jsonl"
@@ -330,8 +320,9 @@ def cmd_batch(args) -> int:
         os.environ.get("RCV_AUDIT_WORKERS", "1")
     )
     tasks = [(str(p), cfg) for p in pending]
+    # errors.txt starts afresh: every election that errored before is retried.
     with records_path.open("a") as rec_f, done_path.open("a") as done_f, \
-            errors_path.open("a") as err_f, tied_path.open("a") as tied_f:
+            errors_path.open("w") as err_f, tied_path.open("a") as tied_f:
         for line in dup_errors:
             err_f.write(line + "\n")
         if workers > 1 and len(tasks) > 1:
@@ -343,11 +334,15 @@ def cmd_batch(args) -> int:
             for task in tasks:
                 _absorb_batch_result(_batch_worker(task), rec_f, done_f, err_f, tied_f)
 
-    all_records = []
-    if records_path.exists():
-        for line in records_path.read_text().splitlines():
-            if line.strip():
-                all_records.append(json.loads(line))
+    # A retried election's lines were appended after the rest; put them back
+    # in election order, where a clean run writes them.
+    all_records = [
+        json.loads(line)
+        for line in _sort_by_election(
+            records_path, lambda line: json.loads(line)["election_id"]
+        )
+    ]
+    _sort_by_election(tied_path, lambda line: line.rsplit(" ", 1)[0])
     _write_batch_reports(out_dir, all_records)
 
     checked = failures = 0
@@ -368,29 +363,30 @@ def cmd_batch(args) -> int:
     return 1 if failures else 0
 
 
-def _parse_config_default() -> dict:
-    return {
-        "methods": list(AUDIT_METHODS),
-        "criteria": list(CRITERIA),
-        "sigma_l": 10,
-        "sigma_w": 3,
-        "party_swaps": False,
-        "workers": None,
-        "q_mode": "droop",
-    }
-
-
 def _absorb_batch_result(result, rec_f, done_f, err_f, tied_f):
+    """Append one election's output; only an election without error is done."""
     eid = result["election_id"]
-    if result["error"]:
-        err_f.write(f"{eid}: {result['error']}\n")
     for record in result["records"]:
         rec_f.write(json.dumps(record) + "\n")
     for method in result["tied"]:
         tied_f.write(f"{eid} {method}\n")
-    done_f.write(eid + "\n")
+    if result["error"]:
+        err_f.write(f"{eid}: {result['error']}\n")
+    else:
+        done_f.write(eid + "\n")
     for f in (rec_f, done_f, err_f, tied_f):
         f.flush()
+
+
+def _sort_by_election(path: Path, election_of) -> list[str]:
+    """The file's lines, stably sorted by election id; rewritten if that moved any."""
+    lines = [line for line in path.read_text().splitlines() if line.strip()]
+    ordered = sorted(lines, key=election_of)
+    if ordered != lines:
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text("".join(line + "\n" for line in ordered))
+        os.replace(tmp, path)
+    return ordered
 
 
 def _write_batch_reports(out_dir: Path, records: list[dict]):
@@ -472,11 +468,7 @@ def cmd_gen(args) -> int:
 
 def cmd_psc(args) -> int:
     election = load_election(args.path)
-    v = election.profile.total_ballots
-    if args.q_mode == "droop":
-        q = rational(droop_quota(v, election.k))
-    else:
-        q = rational(v, election.k)
+    q = QUOTAS[args.q_mode](election.profile.total_ballots, election.k)
     print(f"quota ({args.q_mode}): {decimal_string(q)}")
     names = {c.id: c.name for c in election.profile.candidates}
     coalitions = solid_coalitions(election.profile)
@@ -565,15 +557,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psc", help="proportionality analysis of one election file")
     p.add_argument("path")
-    p.add_argument("--q-mode", choices=("droop", "hare"), default="droop",
+    p.add_argument("--q-mode", choices=tuple(QUOTAS), default="droop",
                    dest="q_mode")
     p.add_argument("--sv", help="scoring vector for the constrained scoring rule")
     p.add_argument("--audit", choices=METHOD_TAGS,
                    help="tabulate with this method and audit at the Hare quota")
     p.set_defaults(func=cmd_psc)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     return parser
 
 

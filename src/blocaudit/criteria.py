@@ -10,12 +10,19 @@ Three criteria, each phrased as "removing this bloc of ballots must not do X":
   every candidate the removed ballots ranked keeps a seat and the committee
   still changed.
 
-check_* functions are the definitions verbatim: tabulate before and after,
-apply the predicate, return a ViolationRecord or None. The search functions
-are heuristics that build removal pools per target candidate, probe graded
-fractions of each pool, and keep only records that re-verify through the
-public check. oracle_ilvb exhaustively enumerates loser-only removals for
-small instances and is the ground truth the heuristics are tested against.
+Each criterion is defined once, as a row of CRITERION_TABLE: the removals
+it admits, its hit predicate, and the pool builder its searches use (ILVB:
+loser-only pools per target loser at sigma_l; IWVB and IWVB_STAR: prefixes
+of _transfer_order at sigma_w). check_* apply a row verbatim: tabulate
+before and after, apply the predicate, return a ViolationRecord or None.
+The searches are heuristics that probe graded fractions of each pool, and
+search_party_swaps restricts the same pools to removals that move one seat
+between two parties. Searches over one (election, rule) can share a
+ProbeSession, so each removal is tabulated once; audit and batch do. Every
+reported record is re-checked by a fresh call to the public check_*, never
+from the session. oracle_ilvb exhaustively enumerates loser-only removals
+for small instances and is the ground truth the heuristics are tested
+against.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import OracleBudgetError, PreconditionError
 from .methods import METHOD_TAGS, TabulationResult, WinnerSet, tabulate
@@ -55,13 +62,12 @@ class SearchParams:
 
     sigma_l and sigma_w set how many graded fractions of each removal pool
     are probed (the last fraction is always the whole pool). Tie-flagged
-    tabulations make winner sets ambiguous, so results touching them are
-    dropped unless discard_tied_results is cleared for diagnostics.
+    tabulations make winner sets ambiguous, so the searches drop every
+    result touching one.
     """
 
     sigma_l: int = DEFAULT_SIGMA_L
     sigma_w: int = DEFAULT_SIGMA_W
-    discard_tied_results: bool = True
 
     def __post_init__(self):
         if self.sigma_l < 1 or self.sigma_w < 1:
@@ -113,6 +119,138 @@ def _without(election: Election, selection: BallotSelection) -> Election:
     )
 
 
+class ProbeSession:
+    """The base outcome of one (election, rule) and a memo of probed removals.
+
+    The memo maps each removed BallotSelection to the winner set that is left,
+    so every search sharing the session tabulates a removal once, however many
+    criteria and pools probe it. The searches read nothing else; the public
+    checks never read the memo.
+    """
+
+    def __init__(self, election: Election, method: MethodLike):
+        self.election = election
+        self.method = method
+        self.before = _run(method, election).winners
+        self.winners = self.before.members
+        self.losers = frozenset(range(election.profile.m)) - self.winners
+        self._memo: dict[BallotSelection, WinnerSet] = {}
+
+    def usable(self, selection: BallotSelection) -> bool:
+        return bool(selection) and selection.total < self.election.profile.total_ballots
+
+    def winners_after(self, selection: BallotSelection) -> WinnerSet:
+        winners = self._memo.get(selection)
+        if winners is None:
+            winners = _run(self.method, _without(self.election, selection)).winners
+            self._memo[selection] = winners
+        return winners
+
+
+# ------------------------------------------------------------ the criteria
+
+
+def _require_losers(ranked: frozenset[int], winners: frozenset[int]) -> None:
+    offenders = ranked & winners
+    if offenders:
+        raise PreconditionError(
+            f"ILVB removals must rank only losers; selection ranks winner(s) "
+            f"{sorted(offenders)}"
+        )
+
+
+def _require_winner_subset(ranked: frozenset[int], winners: frozenset[int]) -> None:
+    if not ranked <= winners or ranked == winners:
+        raise PreconditionError(
+            "IWVB removals must rank only a proper subset of the winners; "
+            f"selection ranks {sorted(ranked)} against winners {sorted(winners)}"
+        )
+
+
+def _loser_pools(session: ProbeSession, a: int | None, b: int) -> list[frozenset[int]]:
+    """Losers other than the target loser B; A plays no part."""
+    return [session.losers - {b}]
+
+
+def _prefix_pools(session: ProbeSession, a: int, b: int) -> list[frozenset[int]]:
+    """Growing prefixes of the other winners in _transfer_order(A, B)."""
+    order = _transfer_order(
+        session.election.profile, sorted(session.winners - {a}), a, b
+    )
+    return [frozenset(order[:depth]) for depth in range(1, len(order) + 1)]
+
+
+class Criterion(NamedTuple):
+    """One removal criterion, as the checks and the searches both read it.
+
+    require raises PreconditionError unless a removal whose ballots rank the
+    candidates `ranked` is one the criterion speaks about; hit(winners,
+    ranked, after) says whether the winner set `after` left by that removal
+    violates it. displaces marks the criteria whose records name a displaced
+    winner and whose searches pick a winner A to displace. pools(session, A,
+    B) gives the candidate sets whose ballots the searches remove, each
+    probed at getattr(params, sigma) graded fractions.
+    """
+
+    require: Callable[[frozenset[int], frozenset[int]], None]
+    hit: Callable[[frozenset[int], frozenset[int], frozenset[int]], bool]
+    displaces: bool
+    pools: Callable[[ProbeSession, int | None, int], list[frozenset[int]]]
+    sigma: str
+
+
+CRITERION_TABLE = {
+    # The winner set changes at all.
+    "ILVB": Criterion(
+        _require_losers,
+        lambda winners, ranked, after: after != winners,
+        False,
+        _loser_pools,
+        "sigma_l",
+    ),
+    # A winner the removed ballots did not rank loses their seat.
+    "IWVB": Criterion(
+        _require_winner_subset,
+        lambda winners, ranked, after: bool((winners - ranked) - after),
+        True,
+        _prefix_pools,
+        "sigma_w",
+    ),
+    # Every ranked candidate keeps a seat, yet the committee changes.
+    "IWVB_STAR": Criterion(
+        _require_winner_subset,
+        lambda winners, ranked, after: ranked <= after and after != winners,
+        True,
+        _prefix_pools,
+        "sigma_w",
+    ),
+}
+
+
+def _check(
+    criterion: str, election: Election, method: MethodLike, selection: BallotSelection
+) -> ViolationRecord | None:
+    tag = _method_tag(method)
+    if not selection:
+        return None
+    spec = CRITERION_TABLE[criterion]
+    before = _run(method, election).winners
+    ranked = selection_ranked_union(election.profile, selection)
+    spec.require(ranked, before.members)
+    after = _run(method, _without(election, selection)).winners
+    if not spec.hit(before.members, ranked, after.members):
+        return None
+    displaced = (before.members - ranked) - after.members if spec.displaces else ()
+    return ViolationRecord(
+        criterion,
+        tag,
+        selection,
+        before,
+        after,
+        displaced_winner=min(displaced, default=None),
+    )
+
+
 def check_ilvb(
     election: Election, method: MethodLike, selection: BallotSelection
 ) -> ViolationRecord | None:
@@ -122,36 +260,7 @@ def check_ilvb(
     anything else is a precondition error, not a non-violation. Removing
     every ballot in the profile is rejected by the removal itself.
     """
-    tag = _method_tag(method)
-    if not selection:
-        return None
-    before = _run(method, election)
-    winners = before.winners.members
-    ranked = selection_ranked_union(election.profile, selection)
-    offenders = ranked & winners
-    if offenders:
-        raise PreconditionError(
-            f"ILVB removals must rank only losers; selection ranks winner(s) "
-            f"{sorted(offenders)}"
-        )
-    after = _run(method, _without(election, selection))
-    if after.winners.members == winners:
-        return None
-    return ViolationRecord(
-        "ILVB", tag, selection, before.winners, after.winners
-    )
-
-
-def _iwvb_precheck(
-    election: Election, selection: BallotSelection, winners: frozenset[int]
-) -> frozenset[int]:
-    ranked = selection_ranked_union(election.profile, selection)
-    if not ranked <= winners or ranked == winners:
-        raise PreconditionError(
-            "IWVB removals must rank only a proper subset of the winners; "
-            f"selection ranks {sorted(ranked)} against winners {sorted(winners)}"
-        )
-    return ranked
+    return _check("ILVB", election, method, selection)
 
 
 def check_iwvb(
@@ -162,24 +271,7 @@ def check_iwvb(
     The selection's ranked union must be a proper subset of the original
     winners. A violation is any winner outside that union losing their seat.
     """
-    tag = _method_tag(method)
-    if not selection:
-        return None
-    before = _run(method, election)
-    winners = before.winners.members
-    ranked = _iwvb_precheck(election, selection, winners)
-    after = _run(method, _without(election, selection))
-    displaced = (winners - ranked) - after.winners.members
-    if not displaced:
-        return None
-    return ViolationRecord(
-        "IWVB",
-        tag,
-        selection,
-        before.winners,
-        after.winners,
-        displaced_winner=min(displaced),
-    )
+    return _check("IWVB", election, method, selection)
 
 
 def check_iwvb_star(
@@ -191,83 +283,37 @@ def check_iwvb_star(
     candidate the removed ballots ranked keeps a seat, yet the committee
     still changed.
     """
-    tag = _method_tag(method)
-    if not selection:
-        return None
-    before = _run(method, election)
-    winners = before.winners.members
-    ranked = _iwvb_precheck(election, selection, winners)
-    after = _run(method, _without(election, selection))
-    if not ranked <= after.winners.members:
-        return None
-    if after.winners.members == winners:
-        return None
-    displaced = winners - after.winners.members
-    return ViolationRecord(
-        "IWVB_STAR",
-        tag,
-        selection,
-        before.winners,
-        after.winners,
-        displaced_winner=min(displaced) if displaced else None,
-    )
+    return _check("IWVB_STAR", election, method, selection)
 
 
-_CHECKS = {"ILVB": check_ilvb, "IWVB": check_iwvb, "IWVB_STAR": check_iwvb_star}
+CHECKS = {"ILVB": check_ilvb, "IWVB": check_iwvb, "IWVB_STAR": check_iwvb_star}
 
 
-class _Prober:
-    """Shared plumbing for one search run over one election.
+# ------------------------------------------------------------- the searches
 
-    Caches the original tabulation and every probed modified tabulation by
-    selection, so overlapping pools across targets do not repeat work.
+
+def _verified(
+    session: ProbeSession, criterion: str, found: dict, party_swap: bool = False
+) -> list[ViolationRecord]:
+    """Re-run every found removal through its public check before returning.
+
+    found maps each removal to the target loser and the displaced winner the
+    search names in its record.
     """
-
-    def __init__(self, election: Election, method: MethodLike, params: SearchParams):
-        self.election = election
-        self.method = method
-        self.tag = _method_tag(method)
-        self.params = params
-        self.before = _run(method, election)
-        self.winners = self.before.winners.members
-        self.losers = frozenset(range(election.profile.m)) - self.winners
-        self._after: dict[BallotSelection, TabulationResult] = {}
-        # key: (criterion, tag, removed) -> record, insertion-ordered
-        self.found: dict[tuple, ViolationRecord] = {}
-
-    def run_after(self, selection: BallotSelection) -> TabulationResult:
-        cached = self._after.get(selection)
-        if cached is None:
-            cached = _run(self.method, _without(self.election, selection))
-            self._after[selection] = cached
-        return cached
-
-    def usable(self, selection: BallotSelection) -> bool:
-        return bool(selection) and selection.total < self.election.profile.total_ballots
-
-    def keep(self, record: ViolationRecord):
-        if self.params.discard_tied_results and (
-            record.original_winners.tie_flag or record.modified_winners.tie_flag
-        ):
-            return
-        key = (record.criterion, record.method, record.removed)
-        self.found.setdefault(key, record)
-
-    def verified_records(self) -> list[ViolationRecord]:
-        """Re-run every found selection through its public check before returning."""
-        out = []
-        for record in self.found.values():
-            fresh = _CHECKS[record.criterion](self.election, self.method, record.removed)
-            if fresh is not None:
-                out.append(
-                    replace(
-                        fresh,
-                        target_loser=record.target_loser,
-                        displaced_winner=record.displaced_winner,
-                        party_swap=record.party_swap,
-                    )
+    check = CHECKS[criterion]
+    out = []
+    for selection, (target_loser, displaced_winner) in found.items():
+        fresh = check(session.election, session.method, selection)
+        if fresh is not None:
+            out.append(
+                replace(
+                    fresh,
+                    target_loser=target_loser,
+                    displaced_winner=displaced_winner,
+                    party_swap=party_swap,
                 )
-        return out
+            )
+    return out
 
 
 def _graded_fractions(
@@ -279,41 +325,6 @@ def _graded_fractions(
         if part and part not in seen:
             seen.add(part)
             yield part
-
-
-def search_ilvb(
-    election: Election, method: MethodLike, params: SearchParams | None = None
-) -> list[ViolationRecord]:
-    """Probe loser-only removal pools for winner-set changes.
-
-    For each loser B, the pool is every ballot ranking only losers other
-    than B (so removals can starve B's rivals of transfers without touching
-    B's own column), probed at sigma_l graded fractions.
-    """
-    params = params or SearchParams()
-    prober = _Prober(election, method, params)
-    for target in sorted(prober.losers):
-        allowed = prober.losers - {target}
-        if not allowed:
-            continue
-        pool = ballots_ranking_only(election.profile, allowed)
-        for selection in _graded_fractions(pool, params.sigma_l):
-            if not prober.usable(selection):
-                continue
-            after = prober.run_after(selection)
-            if after.winners.members == prober.winners:
-                continue
-            prober.keep(
-                ViolationRecord(
-                    "ILVB",
-                    prober.tag,
-                    selection,
-                    prober.before.winners,
-                    after.winners,
-                    target_loser=target,
-                )
-            )
-    return prober.verified_records()
 
 
 def _transfer_order(
@@ -348,11 +359,108 @@ def _transfer_order(
     return sorted(scores, key=lambda c: (-scores[c], c))
 
 
+def _search(
+    criterion: str,
+    election: Election,
+    method: MethodLike,
+    params: SearchParams | None,
+    session: ProbeSession | None,
+    party_swaps: bool = False,
+) -> list[ViolationRecord]:
+    """Probe the criterion's pools for each target pair (A, B).
+
+    Without party_swaps, A ranges over the winners when the criterion
+    displaces one and is None otherwise. With party_swaps, A and B come
+    from different parties, each pool drops both parties' candidates, and a
+    hit counts only when it moves one seat from A's party to B's.
+    """
+    spec = CRITERION_TABLE[criterion]
+    params = params or SearchParams()
+    if session is None:
+        session = ProbeSession(election, method)
+    elif session.election is not election or session.method != method:
+        raise PreconditionError("the probe session belongs to another election or rule")
+    profile = election.profile
+    winners = session.winners
+    sigma = getattr(params, spec.sigma)
+    party = {c.id: c.party for c in profile.candidates}
+    seats_before = Counter(party[c] for c in winners)
+    found: dict[BallotSelection, tuple[int, int | None]] = {}
+    to_displace = sorted(winners) if spec.displaces or party_swaps else [None]
+    for a in to_displace:
+        for b in sorted(session.losers):
+            blocked = frozenset()
+            if party_swaps:
+                if party[a] == party[b]:
+                    continue
+                blocked = {c for c, p in party.items() if p in (party[a], party[b])}
+            for allowed in spec.pools(session, a, b):
+                allowed -= blocked
+                if not allowed:
+                    continue
+                pool = ballots_ranking_only(profile, allowed)
+                for selection in _graded_fractions(pool, sigma):
+                    if not session.usable(selection):
+                        continue
+                    ranked = selection_ranked_union(profile, selection)
+                    after = session.winners_after(selection)
+                    if not spec.hit(winners, ranked, after.members):
+                        continue
+                    if party_swaps and not _moves_one_seat(
+                        party, seats_before, a, b, after.members
+                    ):
+                        continue
+                    if session.before.tie_flag or after.tie_flag:
+                        continue
+                    displaced = (
+                        (winners - ranked) - after.members if spec.displaces else ()
+                    )
+                    if party_swaps or a in displaced:
+                        named = a
+                    else:
+                        named = min(displaced, default=None)
+                    found.setdefault(selection, (b, named))
+    return _verified(session, criterion, found, party_swaps)
+
+
+def _moves_one_seat(
+    party: dict[int, str], seats_before: Counter, a: int, b: int, after: frozenset[int]
+) -> bool:
+    """A loses the seat, B gains one, and one seat moves from A's party to B's."""
+    if a in after or b not in after:
+        return False
+    seats_after = Counter(party[c] for c in after)
+    return (
+        seats_before[party[a]] - seats_after[party[a]] == 1
+        and seats_after[party[b]] - seats_before[party[b]] == 1
+    )
+
+
+def search_ilvb(
+    election: Election,
+    method: MethodLike,
+    params: SearchParams | None = None,
+    *,
+    session: ProbeSession | None = None,
+) -> list[ViolationRecord]:
+    """Probe loser-only removal pools for winner-set changes.
+
+    For each loser B, the pool is every ballot ranking only losers other
+    than B (so removals can starve B's rivals of transfers without touching
+    B's own column), probed at sigma_l graded fractions. A session built
+    for the same election and method may be passed to share probes with
+    other searches; the records are the same either way.
+    """
+    return _search("ILVB", election, method, params, session)
+
+
 def search_iwvb(
     election: Election,
     method: MethodLike,
     params: SearchParams | None = None,
     star_mode: bool = False,
+    *,
+    session: ProbeSession | None = None,
 ) -> list[ViolationRecord]:
     """Probe winner-subset removal pools for displaced winners.
 
@@ -360,53 +468,10 @@ def search_iwvb(
     other winners are ordered by how much their supporters' ballots favor A
     over B; pools are ballots ranking only a growing prefix of that order,
     probed at sigma_w graded fractions. star_mode applies the stricter
-    IWVB_STAR predicate instead.
+    IWVB_STAR predicate instead. session is as for search_ilvb.
     """
-    params = params or SearchParams()
-    prober = _Prober(election, method, params)
     criterion = "IWVB_STAR" if star_mode else "IWVB"
-    k = election.k
-    if k < 2:
-        return []
-    for a in sorted(prober.winners):
-        rest = sorted(prober.winners - {a})
-        for b in sorted(prober.losers):
-            order = _transfer_order(election.profile, rest, a, b)
-            for depth in range(1, len(order) + 1):
-                prefix = frozenset(order[:depth])
-                pool = ballots_ranking_only(election.profile, prefix)
-                for selection in _graded_fractions(pool, params.sigma_w):
-                    if not prober.usable(selection):
-                        continue
-                    ranked = selection_ranked_union(election.profile, selection)
-                    after = prober.run_after(selection)
-                    w_after = after.winners.members
-                    if star_mode:
-                        hit = ranked <= w_after and w_after != prober.winners
-                    else:
-                        hit = bool((prober.winners - ranked) - w_after)
-                    if not hit:
-                        continue
-                    displaced = (prober.winners - ranked) - w_after
-                    prober.keep(
-                        ViolationRecord(
-                            criterion,
-                            prober.tag,
-                            selection,
-                            prober.before.winners,
-                            after.winners,
-                            target_loser=b,
-                            displaced_winner=(
-                                a if a in displaced else min(displaced, default=None)
-                            ),
-                        )
-                    )
-    return prober.verified_records()
-
-
-def _party_seats(election: Election, members: frozenset[int]) -> Counter:
-    party = {c.id: c.party for c in election.profile.candidates}
-    return Counter(party[m] for m in members)
+    return _search(criterion, election, method, params, session)
 
 
 def search_party_swaps(
@@ -414,6 +479,8 @@ def search_party_swaps(
     method: MethodLike,
     params: SearchParams | None = None,
     criterion: str = "ILVB",
+    *,
+    session: ProbeSession | None = None,
 ) -> list[ViolationRecord]:
     """Search for removals that move exactly one seat between two parties.
 
@@ -422,75 +489,14 @@ def search_party_swaps(
     pool to ballots that rank nobody from either party. A record is kept
     only when A actually loses the seat, B gains one, and the two parties'
     seat counts move by exactly one in opposite directions. Candidates
-    without a party are pooled under the shared independent tag.
+    without a party are pooled under the shared independent tag. session
+    is as for search_ilvb.
     """
     if criterion not in CRITERIA:
         raise PreconditionError(
             f"unknown criterion {criterion!r}; expected one of {CRITERIA}"
         )
-    params = params or SearchParams()
-    prober = _Prober(election, method, params)
-    profile = election.profile
-    party = {c.id: c.party for c in profile.candidates}
-    seats_before = _party_seats(election, prober.winners)
-    star = criterion == "IWVB_STAR"
-
-    for a in sorted(prober.winners):
-        for b in sorted(prober.losers):
-            if party[a] == party[b]:
-                continue
-            blocked = {
-                cid for cid, p in party.items() if p in (party[a], party[b])
-            }
-            if criterion == "ILVB":
-                pools = [(prober.losers - {b}) - blocked]
-            else:
-                rest = sorted(prober.winners - {a})
-                order = [c for c in _transfer_order(profile, rest, a, b)]
-                pools = [
-                    frozenset(order[:depth]) - blocked
-                    for depth in range(1, len(order) + 1)
-                ]
-            sigma = params.sigma_l if criterion == "ILVB" else params.sigma_w
-            for allowed in pools:
-                if not allowed:
-                    continue
-                pool = ballots_ranking_only(profile, allowed)
-                for selection in _graded_fractions(pool, sigma):
-                    if not prober.usable(selection):
-                        continue
-                    ranked = selection_ranked_union(profile, selection)
-                    after = prober.run_after(selection)
-                    w_after = after.winners.members
-                    if criterion == "ILVB":
-                        hit = w_after != prober.winners
-                    elif star:
-                        hit = ranked <= w_after and w_after != prober.winners
-                    else:
-                        hit = bool((prober.winners - ranked) - w_after)
-                    if not hit:
-                        continue
-                    if a in w_after or b not in w_after:
-                        continue
-                    seats_after = _party_seats(election, w_after)
-                    if (
-                        seats_before[party[a]] - seats_after[party[a]] != 1
-                        or seats_after[party[b]] - seats_before[party[b]] != 1
-                    ):
-                        continue
-                    prober.keep(
-                        ViolationRecord(
-                            criterion,
-                            prober.tag,
-                            selection,
-                            prober.before.winners,
-                            after.winners,
-                            target_loser=b,
-                            displaced_winner=a,
-                            party_swap=True,
-                        )
-                    )
-    return prober.verified_records()
+    return _search(criterion, election, method, params, session, party_swaps=True)
 
 
 def oracle_ilvb(
@@ -504,12 +510,13 @@ def oracle_ilvb(
     (multiplicity + 1) removal counts; if that exceeds max_budget the call
     refuses up front rather than running partially.
     """
-    prober = _Prober(election, method, SearchParams(discard_tied_results=False))
+    session = ProbeSession(election, method)
+    hit = CRITERION_TABLE["ILVB"].hit
     profile = election.profile
     loser_types = [
         (idx, bt.multiplicity)
         for idx, bt in enumerate(profile.ballots)
-        if bt.ranked_set <= prober.losers
+        if bt.ranked_set <= session.losers
     ]
     budget = 1
     for _, mult in loser_types:
@@ -520,6 +527,7 @@ def oracle_ilvb(
                 f"{len(loser_types)} loser-only ballot types, over the "
                 f"budget of {max_budget}"
             )
+    found = {}
     for counts in product(*(range(mult + 1) for _, mult in loser_types)):
         entries = tuple(
             (idx, c) for (idx, _), c in zip(loser_types, counts) if c > 0
@@ -527,17 +535,14 @@ def oracle_ilvb(
         if not entries:
             continue
         selection = BallotSelection(entries)
-        if not prober.usable(selection):
+        if not session.usable(selection):
             continue
-        after = prober.run_after(selection)
-        if after.winners.members == prober.winners:
-            continue
-        prober.keep(
-            ViolationRecord(
-                "ILVB", prober.tag, selection, prober.before.winners, after.winners
-            )
-        )
-    return prober.verified_records()
+        ranked = selection_ranked_union(profile, selection)
+        # every removal vector is distinct, so the session's memo would only grow
+        after = _run(method, _without(election, selection)).winners
+        if hit(session.winners, ranked, after.members):
+            found[selection] = (None, None)
+    return _verified(session, "ILVB", found)
 
 
 def record_to_json(

@@ -106,6 +106,52 @@ def hare_quota(total_ballots: int, k: int):
     return rational(total_ballots, k)
 
 
+def _elect_crossers(
+    reached, totals, status, elected: list[int], k: int,
+    rnd: Round, tie_events: list[TieEvent],
+) -> list[int]:
+    """Elect the hopefuls c with reached(c), highest total first, while seats remain.
+
+    totals maps each candidate to a total in whatever ordered unit the count
+    keeps. A tie on the last open seat's total goes to the lower id and is
+    recorded as an "election" tie. Returns the candidates elected, in order.
+    """
+    open_seats = k - len(elected)
+    crossers = sorted(
+        (c for c in status if status[c] == HOPEFUL and reached(c)),
+        key=lambda c: (-totals[c], c),
+    )
+    if len(crossers) > open_seats:
+        cutoff_value = totals[crossers[open_seats - 1]]
+        if totals[crossers[open_seats]] == cutoff_value:
+            tied = tuple(c for c in crossers if totals[c] == cutoff_value)
+            chosen = tuple(c for c in crossers[:open_seats] if totals[c] == cutoff_value)
+            tie_events.append(TieEvent(rnd.number, "election", tied, chosen))
+        crossers = crossers[:open_seats]
+    for c in crossers:
+        status[c] = ELECTED
+        elected.append(c)
+        rnd.events.append(RoundEvent("elected", c))
+    return crossers
+
+
+def _eliminate_lowest(totals, status, rnd: Round, tie_events: list[TieEvent]) -> int:
+    """Eliminate the hopeful with the lowest total and return them.
+
+    totals is as for _elect_crossers. A tie goes to the lower id and is
+    recorded as an "elimination" tie.
+    """
+    hopefuls = [c for c in status if status[c] == HOPEFUL]
+    low_value = min(totals[c] for c in hopefuls)
+    tied = sorted(c for c in hopefuls if totals[c] == low_value)
+    if len(tied) > 1:
+        tie_events.append(TieEvent(rnd.number, "elimination", tuple(tied), (tied[0],)))
+    out = tied[0]
+    status[out] = ELIMINATED
+    rnd.events.append(RoundEvent("eliminated", out))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Scottish STV
 
@@ -169,23 +215,9 @@ def scottish_stv(election: Election) -> TabulationResult:
         rnd = Round(number, dict(totals), quota, exhausted)
         rounds.append(rnd)
 
-        open_seats = k - len(elected)
-        crossers = sorted(
-            (c for c in ids if status[c] == HOPEFUL and totals[c] >= quota),
-            key=lambda c: (-totals[c], c),
+        pending_surplus += _elect_crossers(
+            lambda c: totals[c] >= quota, totals, status, elected, k, rnd, tie_events
         )
-        if len(crossers) > open_seats:
-            cutoff_value = totals[crossers[open_seats - 1]]
-            if totals[crossers[open_seats]] == cutoff_value:
-                tied = tuple(c for c in crossers if totals[c] == cutoff_value)
-                chosen = tuple(c for c in crossers[:open_seats] if totals[c] == cutoff_value)
-                tie_events.append(TieEvent(number, "election", tied, chosen))
-            crossers = crossers[:open_seats]
-        for c in crossers:
-            status[c] = ELECTED
-            elected.append(c)
-            pending_surplus.append(c)
-            rnd.events.append(RoundEvent("elected", c))
         if len(elected) == k:
             break
 
@@ -212,17 +244,9 @@ def scottish_stv(election: Election) -> TabulationResult:
                 totals[c] = rational(quota)
             rnd.events.append(RoundEvent("surplus", c))
         else:
-            low_value = min(totals[c] for c in hopefuls)
-            tied = sorted(c for c in hopefuls if totals[c] == low_value)
-            if len(tied) > 1:
-                tie_events.append(
-                    TieEvent(number, "elimination", tuple(tied), (tied[0],))
-                )
-            c = tied[0]
-            status[c] = ELIMINATED
+            c = _eliminate_lowest(totals, status, rnd, tie_events)
             move_pile(c, ONE)
             totals[c] = ZERO
-            rnd.events.append(RoundEvent("eliminated", c))
 
     members = frozenset(elected)
     winners = WinnerSet(members, _fate_tie_flag(tie_events, members))
@@ -341,28 +365,10 @@ def meek_stv(
             rnd = snapshot(totals, exhausted)
             rounds.append(rnd)
 
-            open_seats = k - len(elected)
-            crossers = sorted(
-                (
-                    c
-                    for c in ids
-                    if status[c] == HOPEFUL and totals[c] * (k + 1) >= quota_num
-                ),
-                key=lambda c: (-totals[c], c),
+            crossers = _elect_crossers(
+                lambda c: totals[c] * (k + 1) >= quota_num,
+                totals, status, elected, k, rnd, tie_events,
             )
-            if len(crossers) > open_seats:
-                cutoff_value = totals[crossers[open_seats - 1]]
-                if totals[crossers[open_seats]] == cutoff_value:
-                    tied = tuple(c for c in crossers if totals[c] == cutoff_value)
-                    chosen = tuple(
-                        c for c in crossers[:open_seats] if totals[c] == cutoff_value
-                    )
-                    tie_events.append(TieEvent(rnd.number, "election", tied, chosen))
-                crossers = crossers[:open_seats]
-            for c in crossers:
-                status[c] = ELECTED
-                elected.append(c)
-                rnd.events.append(RoundEvent("elected", c))
             if len(elected) == k:
                 break
 
@@ -371,18 +377,9 @@ def meek_stv(
                 for c in elected
             )
             if converged:
-                hopefuls = [c for c in ids if status[c] == HOPEFUL]
-                low_value = min(totals[c] for c in hopefuls)
-                tied = sorted(c for c in hopefuls if totals[c] == low_value)
-                if len(tied) > 1:
-                    tie_events.append(
-                        TieEvent(rnd.number, "elimination", tuple(tied), (tied[0],))
-                    )
-                out = tied[0]
-                status[out] = ELIMINATED
+                out = _eliminate_lowest(totals, status, rnd, tie_events)
                 keep[out] = 0
                 keep_exact[out] = ZERO
-                rnd.events.append(RoundEvent("eliminated", out))
                 break
 
             for c in elected:
@@ -538,9 +535,7 @@ def cc_score(profile: PreferenceProfile, committee: Iterable[int], model: str) -
     return score
 
 
-def cc(
-    election: Election, model: str
-) -> tuple[WinnerSet, dict[tuple[int, ...], int]]:
+def cc(election: Election, model: str) -> WinnerSet:
     """Exact Chamberlin-Courant: argmax of cc_score over all size-k committees.
 
     Ties go to the lexicographically smallest id tuple, with the tie flag set.
@@ -552,19 +547,17 @@ def cc(
         raise EnumerationGuardError(
             f"committee enumeration needs m <= {MAX_ENUM_CANDIDATES} candidates, got {m}"
         )
-    table: dict[tuple[int, ...], int] = {}
     best: tuple[int, ...] | None = None
     best_score = 0
     tie = False
     for committee in itertools.combinations(range(m), election.k):
         score = cc_score(profile, committee, model)
-        table[committee] = score
         if best is None or score > best_score:
             best, best_score, tie = committee, score, False
         elif score == best_score:
             tie = True
     assert best is not None
-    return WinnerSet(frozenset(best), tie), table
+    return WinnerSet(frozenset(best), tie)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +649,7 @@ def tabulate(
     if method == "ear":
         return ear(election)
     if method in ("cc-om", "cc-pm"):
-        winners, _ = cc(election, method[-2:])
+        winners = cc(election, method[-2:])
         rnd = Round(1, {}, None, ZERO)
         rnd.events = [RoundEvent("elected", c) for c in sorted(winners.members)]
         return TabulationResult(winners, RoundLog(method, None, [rnd], []))

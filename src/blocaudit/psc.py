@@ -27,6 +27,7 @@ from .methods import (
     TabulationResult,
     WinnerSet,
     droop_quota,
+    hare_quota,
     positional_scores,
 )
 from .profiles import Election, PreferenceProfile
@@ -147,6 +148,10 @@ def qpsc_scoring_rule(election: Election, q, sv: ScoringVector) -> WinnerSet:
     return WinnerSet(frozenset(best), tie)
 
 
+# The quota of each q_mode as an exact rational, from V ballots and k seats.
+QUOTAS = {"droop": lambda v, k: rational(droop_quota(v, k)), "hare": hare_quota}
+
+
 def qpsc_method(sv: ScoringVector, q_mode: str = "droop"):
     """Package the scoring rule as a tabulation callable for criterion checks.
 
@@ -155,15 +160,11 @@ def qpsc_method(sv: ScoringVector, q_mode: str = "droop"):
     carries method_tag "qpsc" and produces a single-round log holding the
     per-candidate positional scores.
     """
-    if q_mode not in ("droop", "hare"):
+    if q_mode not in QUOTAS:
         raise PreconditionError(f"q_mode must be 'droop' or 'hare', got {q_mode!r}")
 
     def run(election: Election) -> TabulationResult:
-        v = election.profile.total_ballots
-        if q_mode == "droop":
-            q = rational(droop_quota(v, election.k))
-        else:
-            q = rational(v, election.k)
+        q = QUOTAS[q_mode](election.profile.total_ballots, election.k)
         winners = qpsc_scoring_rule(election, q, sv)
         scores = positional_scores(election.profile, sv)
         log = RoundLog(
@@ -181,7 +182,7 @@ def qpsc_method(sv: ScoringVector, q_mode: str = "droop"):
 
 def audit_hare_psc(election: Election, winners: WinnerSet) -> list[Constraint]:
     """Constraints at the Hare quota V/k that the winner set fails. Empty is a pass."""
-    q = rational(election.profile.total_ballots, election.k)
+    q = hare_quota(election.profile.total_ballots, election.k)
     cset = psc_constraints(election.profile, election.k, q)
     members = winners.members
     return [

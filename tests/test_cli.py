@@ -1,9 +1,18 @@
 import json
 import shutil
+from collections import Counter
 
 import pytest
 
-from blocaudit.cli import main
+import blocaudit.criteria as criteria
+from blocaudit.cli import AUDIT_METHODS, _audit_one, main
+from blocaudit.criteria import (
+    CRITERIA,
+    SearchParams,
+    search_ilvb,
+    search_iwvb,
+    search_party_swaps,
+)
 from conftest import EAST_AYRSHIRE, NORTH_AYRSHIRE
 
 
@@ -121,6 +130,56 @@ def test_audit_sigma_controls_grading(capsys):
     )
     assert code == 0
     assert len(coarse.splitlines()) < len(fine.splitlines())
+
+
+def test_audit_one_equals_searches_run_alone(east_ayrshire, north_ayrshire):
+    params = SearchParams()
+    for election in (east_ayrshire, north_ayrshire):
+        shared, _ = _audit_one(election, AUDIT_METHODS, CRITERIA, params, True)
+        alone = []
+        for method in AUDIT_METHODS:
+            for criterion in CRITERIA:
+                if criterion == "ILVB":
+                    alone += search_ilvb(election, method, params)
+                else:
+                    alone += search_iwvb(
+                        election, method, params,
+                        star_mode=criterion == "IWVB_STAR",
+                    )
+                alone += search_party_swaps(election, method, params, criterion)
+        assert shared
+        assert shared == alone
+
+
+def test_audit_one_tabulates_each_removal_once(east_ayrshire, monkeypatch):
+    # (rule, profile) pairs tabulated outside the re-verifying public checks
+    outside_checks = Counter()
+    in_check = []
+    real_tabulate = criteria.tabulate
+
+    def counting_tabulate(election, method, **kwargs):
+        if not in_check:
+            outside_checks[(method, election.profile.ballots)] += 1
+        return real_tabulate(election, method, **kwargs)
+
+    def flagged(check):
+        def run(*args):
+            in_check.append(True)
+            try:
+                return check(*args)
+            finally:
+                in_check.pop()
+        return run
+
+    monkeypatch.setattr(criteria, "tabulate", counting_tabulate)
+    for name, check in list(criteria.CHECKS.items()):
+        monkeypatch.setitem(criteria.CHECKS, name, flagged(check))
+    records, _ = _audit_one(
+        east_ayrshire, AUDIT_METHODS, CRITERIA, SearchParams(), True
+    )
+    assert records
+    assert len(outside_checks) > len(AUDIT_METHODS)
+    assert max(outside_checks.values()) == 1
 
 
 # --------------------------------------------------------------------- gen
@@ -252,8 +311,40 @@ def test_batch_resume_skips_done(tmp_path, corpus, capsys):
         "--out", str(out_dir), "--resume",
     )
     assert code == 0
-    assert "(4 skipped as done)" in err
+    # broken.blt errored, so it is retried rather than skipped
+    assert "(3 skipped as done)" in err
     assert (out_dir / "records.jsonl").read_text() == first
+    assert (out_dir / "errors.txt").read_text().count("broken") == 1
+
+
+def test_batch_resume_retries_fixed_election(tmp_path, corpus, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(CFG)
+    names = ("records.jsonl", "rows.csv", "report.csv")
+    broken = corpus / "broken.blt"
+    resumed, clean = tmp_path / "resumed", tmp_path / "clean"
+    code, _, _ = run(
+        capsys, "batch", str(corpus), "--config", str(cfg), "--out", str(resumed)
+    )
+    assert code == 0
+    assert "broken" in (resumed / "errors.txt").read_text()
+    # the malformed file is fixed between the run and its resume; its id
+    # sorts first, so its records belong before every other election's
+    shutil.copy(EAST_AYRSHIRE, broken)
+    code, _, err = run(
+        capsys, "batch", str(corpus), "--config", str(cfg),
+        "--out", str(resumed), "--resume",
+    )
+    assert code == 0
+    assert "audited 1 elections (3 skipped as done)" in err
+    assert (resumed / "errors.txt").read_text() == ""
+    code, _, _ = run(
+        capsys, "batch", str(corpus), "--config", str(cfg), "--out", str(clean)
+    )
+    assert code == 0
+    assert '"election_id": "broken"' in (clean / "records.jsonl").read_text()
+    for name in names:
+        assert (resumed / name).read_text() == (clean / name).read_text()
 
 
 def test_batch_spot_check_failure_exits_nonzero(
@@ -278,10 +369,11 @@ def test_batch_rejects_bad_config(tmp_path, corpus, capsys):
     code, _, err = run(capsys, "batch", str(corpus), "--config", str(cfg))
     assert code == 2
     assert "sigma_l" in err
-    cfg.write_text("unknown_key=1\n")
-    code, _, err = run(capsys, "batch", str(corpus), "--config", str(cfg))
-    assert code == 2
-    assert "unknown key" in err
+    for line in ("unknown_key=1\n", "q_mode=droop\n"):
+        cfg.write_text(line)
+        code, _, err = run(capsys, "batch", str(corpus), "--config", str(cfg))
+        assert code == 2
+        assert "unknown key" in err
 
 
 # --------------------------------------------------------------- exit codes

@@ -17,6 +17,7 @@ from blocaudit import (
     selection_from_rankings,
     tabulate,
 )
+from blocaudit.criteria import ProbeSession
 from blocaudit.profiles import BallotSelection
 
 # ----------------------------------------------------------------- checks
@@ -263,6 +264,16 @@ def test_party_swaps_exclude_involved_parties(east_ayrshire):
 def test_party_swaps_validates_criterion(east_ayrshire):
     with pytest.raises(ValueError):
         search_party_swaps(east_ayrshire, "scottish", criterion="NOPE")
+
+
+def test_search_rejects_session_of_another_election_or_rule(
+    east_ayrshire, north_ayrshire
+):
+    session = ProbeSession(east_ayrshire, "scottish")
+    with pytest.raises(PreconditionError):
+        search_ilvb(north_ayrshire, "scottish", session=session)
+    with pytest.raises(PreconditionError):
+        search_iwvb(east_ayrshire, "ear", session=session)
 
 
 # ------------------------------------------------------------------- oracle
