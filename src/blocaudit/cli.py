@@ -310,6 +310,16 @@ def cmd_batch(args) -> int:
     done: set[str] = set()
     if args.resume and done_path.exists():
         done = set(done_path.read_text().split())
+        # A crash after an election's lines were appended but before it was
+        # marked done leaves lines that its re-audit would write again.
+        for path, election_of in (
+            (records_path, _record_election), (tied_path, _tied_election)
+        ):
+            if path.exists():
+                lines = path.read_text().splitlines()
+                kept = [line for line in lines if election_of(line) in done]
+                if kept != lines:
+                    _replace_lines(path, kept)
     else:
         for p in (records_path, done_path, errors_path, tied_path):
             if p.exists():
@@ -337,12 +347,9 @@ def cmd_batch(args) -> int:
     # A retried election's lines were appended after the rest; put them back
     # in election order, where a clean run writes them.
     all_records = [
-        json.loads(line)
-        for line in _sort_by_election(
-            records_path, lambda line: json.loads(line)["election_id"]
-        )
+        json.loads(line) for line in _sort_by_election(records_path, _record_election)
     ]
-    _sort_by_election(tied_path, lambda line: line.rsplit(" ", 1)[0])
+    _sort_by_election(tied_path, _tied_election)
     _write_batch_reports(out_dir, all_records)
 
     checked = failures = 0
@@ -378,14 +385,31 @@ def _absorb_batch_result(result, rec_f, done_f, err_f, tied_f):
         f.flush()
 
 
+def _record_election(line: str) -> str | None:
+    """The election id of a records.jsonl line; None for a line cut short."""
+    try:
+        return json.loads(line)["election_id"]
+    except ValueError:
+        return None
+
+
+def _tied_election(line: str) -> str:
+    return line.rsplit(" ", 1)[0]
+
+
+def _replace_lines(path: Path, lines: list[str]) -> None:
+    """Rewrite path to hold exactly lines, through a temp file and os.replace."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text("".join(line + "\n" for line in lines))
+    os.replace(tmp, path)
+
+
 def _sort_by_election(path: Path, election_of) -> list[str]:
     """The file's lines, stably sorted by election id; rewritten if that moved any."""
     lines = [line for line in path.read_text().splitlines() if line.strip()]
     ordered = sorted(lines, key=election_of)
     if ordered != lines:
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text("".join(line + "\n" for line in ordered))
-        os.replace(tmp, path)
+        _replace_lines(path, ordered)
     return ordered
 
 

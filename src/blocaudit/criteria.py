@@ -120,12 +120,14 @@ def _without(election: Election, selection: BallotSelection) -> Election:
 
 
 class ProbeSession:
-    """The base outcome of one (election, rule) and a memo of probed removals.
+    """The base outcome of one (election, rule) and memos of what its searches build.
 
-    The memo maps each removed BallotSelection to the winner set that is left,
-    so every search sharing the session tabulates a removal once, however many
-    criteria and pools probe it. The searches read nothing else; the public
-    checks never read the memo.
+    The main memo maps each removed BallotSelection to the winner set that is
+    left, so every search sharing the session tabulates a removal once,
+    however many criteria and pools probe it. Two smaller memos keep the
+    removal pools (by allowed candidate set) and the transfer orders (by
+    target pair), which the searches of one rule rebuild otherwise. The
+    searches read nothing else; the public checks never read the session.
     """
 
     def __init__(self, election: Election, method: MethodLike):
@@ -135,6 +137,8 @@ class ProbeSession:
         self.winners = self.before.members
         self.losers = frozenset(range(election.profile.m)) - self.winners
         self._memo: dict[BallotSelection, WinnerSet] = {}
+        self._pools: dict[frozenset[int], BallotSelection] = {}
+        self._orders: dict[tuple[int, int], list[int]] = {}
 
     def usable(self, selection: BallotSelection) -> bool:
         return bool(selection) and selection.total < self.election.profile.total_ballots
@@ -145,6 +149,24 @@ class ProbeSession:
             winners = _run(self.method, _without(self.election, selection)).winners
             self._memo[selection] = winners
         return winners
+
+    def pool(self, allowed: frozenset[int]) -> BallotSelection:
+        """Every ballot ranking only candidates in allowed."""
+        pool = self._pools.get(allowed)
+        if pool is None:
+            pool = ballots_ranking_only(self.election.profile, allowed)
+            self._pools[allowed] = pool
+        return pool
+
+    def transfer_order(self, a: int, b: int) -> list[int]:
+        """_transfer_order(A, B) over the winners other than A."""
+        order = self._orders.get((a, b))
+        if order is None:
+            order = _transfer_order(
+                self.election.profile, sorted(self.winners - {a}), a, b
+            )
+            self._orders[(a, b)] = order
+        return order
 
 
 # ------------------------------------------------------------ the criteria
@@ -174,9 +196,7 @@ def _loser_pools(session: ProbeSession, a: int | None, b: int) -> list[frozenset
 
 def _prefix_pools(session: ProbeSession, a: int, b: int) -> list[frozenset[int]]:
     """Growing prefixes of the other winners in _transfer_order(A, B)."""
-    order = _transfer_order(
-        session.election.profile, sorted(session.winners - {a}), a, b
-    )
+    order = session.transfer_order(a, b)
     return [frozenset(order[:depth]) for depth in range(1, len(order) + 1)]
 
 
@@ -398,8 +418,7 @@ def _search(
                 allowed -= blocked
                 if not allowed:
                     continue
-                pool = ballots_ranking_only(profile, allowed)
-                for selection in _graded_fractions(pool, sigma):
+                for selection in _graded_fractions(session.pool(allowed), sigma):
                     if not session.usable(selection):
                         continue
                     ranked = selection_ranked_union(profile, selection)

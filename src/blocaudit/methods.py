@@ -411,6 +411,15 @@ def ear(election: Election) -> TabulationResult:
     j grows. Should j pass the longest possible ranking with seats still
     open, the remaining seats go to the candidates with greatest support in
     turn, each election zeroing its supporters' weights.
+
+    The count is exact and adds integers. A weight class is the sequence of
+    rescalings some ballot types have received; a type weighs its
+    multiplicity times its class's rational factor (ONE before any
+    rescaling). counts[c][cid] sums the multiplicities of class-c types
+    ranking cid within their top j, so raising the threshold adds one
+    position per type and an election moves its supporters' counts into
+    one new class per source class. Supports are formed as sum(factor *
+    count), so each Round holds exactly the rationals of a per-ballot count.
     """
     profile = election.profile
     k = election.k
@@ -419,73 +428,66 @@ def ear(election: Election) -> TabulationResult:
 
     ids = [c.id for c in profile.candidates]
     rankings = [bt.ranking for bt in profile.ballots]
-    weights = [rational(bt.multiplicity) for bt in profile.ballots]
+    mults = [bt.multiplicity for bt in profile.ballots]
+    factors = [ONE]
+    cls = [0] * len(rankings)
+    counts = [[0] * m]
+    for ranking, n in zip(rankings, mults):
+        counts[0][ranking[0]] += n
     elected: list[int] = []
     rounds: list[Round] = []
     tie_events: list[TieEvent] = []
     notes: list[str] = []
 
-    def supports(threshold: int | None) -> dict[int, object]:
-        out = {cid: ZERO for cid in ids}
-        for t, ranking in enumerate(rankings):
-            w = weights[t]
-            if w == 0:
-                continue
-            depth = len(ranking) if threshold is None else min(threshold, len(ranking))
-            for cid in ranking[:depth]:
-                out[cid] += w
-        return out
-
     j = 1
     while len(elected) < k:
+        support = {cid: ZERO for cid in ids}
+        for factor, row in zip(factors, counts):
+            if factor:
+                for cid, n in enumerate(row):
+                    if n:
+                        support[cid] += factor * n
         if j <= m:
-            support = supports(j)
-            eligible = [
+            contenders = [
                 c for c in ids if c not in elected and support[c] >= quota
             ]
-            if not eligible:
+            if not contenders:
+                for t, ranking in enumerate(rankings):
+                    if len(ranking) > j:
+                        counts[cls[t]][ranking[j]] += mults[t]
                 j += 1
                 continue
-            best_value = max(support[c] for c in eligible)
-            tied = sorted(c for c in eligible if support[c] == best_value)
-            if len(tied) > 1:
-                tie_events.append(
-                    TieEvent(len(rounds) + 1, "election", tuple(tied), (tied[0],))
-                )
-            chosen = tied[0]
-            factor = (best_value - quota) / best_value
-            for t, ranking in enumerate(rankings):
-                if chosen in ranking[:j]:
-                    weights[t] *= factor
-            rnd = Round(
-                len(rounds) + 1,
-                support,
-                quota,
-                ZERO,
-                events=[RoundEvent("elected", chosen)],
-                threshold=j,
-            )
-            rounds.append(rnd)
-            elected.append(chosen)
         else:
+            # Past the longest ranking, so the counts hold whole rankings.
             if not notes:
                 notes.append(
                     "rank thresholds exhausted; remaining seats filled by "
                     "greatest support with supporter weights zeroed"
                 )
-            support = supports(None)
             contenders = [c for c in ids if c not in elected]
-            best_value = max(support[c] for c in contenders)
-            tied = sorted(c for c in contenders if support[c] == best_value)
-            if len(tied) > 1:
-                tie_events.append(
-                    TieEvent(len(rounds) + 1, "election", tuple(tied), (tied[0],))
-                )
-            chosen = tied[0]
-            for t, ranking in enumerate(rankings):
-                if chosen in ranking:
-                    weights[t] = ZERO
-            rnd = Round(
+        best_value = max(support[c] for c in contenders)
+        tied = sorted(c for c in contenders if support[c] == best_value)
+        if len(tied) > 1:
+            tie_events.append(
+                TieEvent(len(rounds) + 1, "election", tuple(tied), (tied[0],))
+            )
+        chosen = tied[0]
+        scale = (best_value - quota) / best_value if j <= m else ZERO
+        moved: dict[int, int] = {}  # source class -> its rescaled class
+        for t, ranking in enumerate(rankings):
+            top = ranking[:j]
+            if chosen in top:
+                src = cls[t]
+                if src not in moved:
+                    moved[src] = len(factors)
+                    factors.append(factors[src] * scale)
+                    counts.append([0] * m)
+                cls[t] = dst = moved[src]
+                for cid in top:
+                    counts[src][cid] -= mults[t]
+                    counts[dst][cid] += mults[t]
+        rounds.append(
+            Round(
                 len(rounds) + 1,
                 support,
                 quota,
@@ -493,8 +495,8 @@ def ear(election: Election) -> TabulationResult:
                 events=[RoundEvent("elected", chosen)],
                 threshold=j,
             )
-            rounds.append(rnd)
-            elected.append(chosen)
+        )
+        elected.append(chosen)
 
     members = frozenset(elected)
     winners = WinnerSet(members, _fate_tie_flag(tie_events, members))
@@ -540,18 +542,37 @@ def cc(election: Election, model: str) -> WinnerSet:
 
     Ties go to the lexicographically smallest id tuple, with the tie flag set.
     Refuses profiles with more than MAX_ENUM_CANDIDATES candidates.
+
+    Scores are exact integers. cols[c][t] holds what ballot type t gives a
+    committee whose best-ranked member on it is c: multiplicity * (m - 1 -
+    position) when t ranks c, and otherwise the unranked score (multiplicity
+    * (m - len - 1) under "om", 0 under "pm"), which is never above a
+    ranked one. A committee's cc_score is then sum(map(max, *its columns)).
     """
+    if model not in ("om", "pm"):
+        raise ValueError(f"model must be 'om' or 'pm', got {model!r}")
     profile = election.profile
     m = profile.m
     if m > MAX_ENUM_CANDIDATES:
         raise EnumerationGuardError(
             f"committee enumeration needs m <= {MAX_ENUM_CANDIDATES} candidates, got {m}"
         )
+    unranked = [
+        bt.multiplicity * (m - len(bt.ranking) - 1) if model == "om" else 0
+        for bt in profile.ballots
+    ]
+    cols = [list(unranked) for _ in range(m)]
+    for t, bt in enumerate(profile.ballots):
+        for pos, cid in enumerate(bt.ranking):
+            cols[cid][t] = bt.multiplicity * (m - 1 - pos)
     best: tuple[int, ...] | None = None
     best_score = 0
     tie = False
     for committee in itertools.combinations(range(m), election.k):
-        score = cc_score(profile, committee, model)
+        if len(committee) == 1:
+            score = sum(cols[committee[0]])  # max() of a single int raises
+        else:
+            score = sum(map(max, *(cols[c] for c in committee)))
         if best is None or score > best_score:
             best, best_score, tie = committee, score, False
         elif score == best_score:

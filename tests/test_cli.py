@@ -347,6 +347,52 @@ def test_batch_resume_retries_fixed_election(tmp_path, corpus, capsys):
         assert (resumed / name).read_text() == (clean / name).read_text()
 
 
+@pytest.mark.parametrize("victim", ["na", "tie"])
+def test_batch_resume_after_crash_writes_no_duplicates(
+    tmp_path, corpus, capsys, victim
+):
+    # a dead heat for one seat: no records, one line in tied.txt
+    (corpus / "tie.blt").write_text(
+        '2 1\n5 1 0\n5 2 0\n0\n"a"\n"b"\n"dead heat"\n'
+    )
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(CFG)
+    names = ("records.jsonl", "tied.txt", "rows.csv", "report.csv")
+    clean, resumed = tmp_path / "clean", tmp_path / "resumed"
+    code, _, _ = run(
+        capsys, "batch", str(corpus), "--config", str(cfg), "--out", str(clean)
+    )
+    assert code == 0
+    # The state a crash leaves after the victim's lines were appended and
+    # before it reached done.txt: elections are absorbed in id order, so
+    # every earlier election is done and no later one has started.
+    resumed.mkdir()
+    for name, election_of in (
+        ("records.jsonl", lambda line: json.loads(line)["election_id"]),
+        ("tied.txt", lambda line: line.split()[0]),
+    ):
+        lines = (clean / name).read_text().splitlines()
+        (resumed / name).write_text(
+            "".join(line + "\n" for line in lines if election_of(line) <= victim)
+        )
+    done = (clean / "done.txt").read_text().split()
+    (resumed / "done.txt").write_text(
+        "".join(eid + "\n" for eid in done if eid < victim)
+    )
+    crashed = (resumed / "records.jsonl").read_text() + (
+        resumed / "tied.txt"
+    ).read_text()
+    assert f'"election_id": "{victim}"' in crashed or f"{victim} scottish" in crashed
+    code, _, err = run(
+        capsys, "batch", str(corpus), "--config", str(cfg),
+        "--out", str(resumed), "--resume",
+    )
+    assert code == 0
+    assert f"({len([eid for eid in done if eid < victim])} skipped as done)" in err
+    for name in names:
+        assert (resumed / name).read_text() == (clean / name).read_text(), name
+
+
 def test_batch_spot_check_failure_exits_nonzero(
     tmp_path, corpus, capsys, monkeypatch
 ):

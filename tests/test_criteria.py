@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+import blocaudit.criteria as criteria
 import golden
 from blocaudit import (
     OracleBudgetError,
@@ -274,6 +277,31 @@ def test_search_rejects_session_of_another_election_or_rule(
         search_ilvb(north_ayrshire, "scottish", session=session)
     with pytest.raises(PreconditionError):
         search_iwvb(east_ayrshire, "ear", session=session)
+
+
+def test_session_builds_each_pool_and_order_once(east_ayrshire, monkeypatch):
+    pools, orders = Counter(), Counter()
+    real_pool, real_order = criteria.ballots_ranking_only, criteria._transfer_order
+
+    def counting_pool(profile, allowed):
+        pools[frozenset(allowed)] += 1
+        return real_pool(profile, allowed)
+
+    def counting_order(profile, committee, a, b):
+        orders[(tuple(committee), a, b)] += 1
+        return real_order(profile, committee, a, b)
+
+    monkeypatch.setattr(criteria, "ballots_ranking_only", counting_pool)
+    monkeypatch.setattr(criteria, "_transfer_order", counting_order)
+    session = ProbeSession(east_ayrshire, "scottish")
+    search_ilvb(east_ayrshire, "scottish", session=session)
+    for star in (False, True):
+        search_iwvb(east_ayrshire, "scottish", star_mode=star, session=session)
+    for criterion in ("ILVB", "IWVB", "IWVB_STAR"):
+        search_party_swaps(east_ayrshire, "scottish", criterion=criterion,
+                           session=session)
+    assert pools and orders
+    assert max(pools.values()) == max(orders.values()) == 1
 
 
 # ------------------------------------------------------------------- oracle

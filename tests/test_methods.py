@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +7,21 @@ from hypothesis import strategies as st
 
 import golden
 from blocaudit import (
+    FAMILIES,
     Election,
     EnumerationGuardError,
+    GeneratorSpec,
     MeekNonConvergenceError,
     ScoringVector,
+    WinnerSet,
+    ballots_ranking_only,
     borda_vector,
+    cc,
     cc_score,
     droop_quota,
+    ear,
+    fraction_of,
+    generate,
     make_election,
     meek_stv,
     plurality_vector,
@@ -23,6 +32,7 @@ from blocaudit import (
 )
 from blocaudit.rationals import ONE, ZERO, rational
 from conftest import assert_rounds_match, random_profile, round1
+from ear_reference import reference_ear
 from meek_reference import reference_meek_stv
 
 # ------------------------------------------------------------ real wards
@@ -222,8 +232,6 @@ def test_meek_ward_winners_match_independent_implementation(
 
 
 def test_meek_matches_oracle_on_randoms():
-    import random
-
     rng = random.Random(90125)
     agreements = 0
     for _ in range(40):
@@ -282,6 +290,7 @@ def assert_same_count(got, want):
     assert got.log.method == want.log.method
     assert got.log.quota == want.log.quota
     assert got.log.tie_events == want.log.tie_events
+    assert got.log.notes == want.log.notes
     assert len(got.log.rounds) == len(want.log.rounds)
     for mine, theirs in zip(got.log.rounds, want.log.rounds):
         where = f"round {theirs.number}"
@@ -306,8 +315,6 @@ def test_meek_round_logs_match_rational_reference_on_wards(
 
 
 def test_meek_round_logs_match_rational_reference_on_randoms():
-    import random
-
     for seed in (90125, 4821):
         rng = random.Random(seed)
         for _ in range(40):
@@ -387,6 +394,95 @@ def test_ear_fallback_when_no_one_reaches_quota():
     assert any("rank thresholds exhausted" in note for note in log.notes)
 
 
+def test_ear_fallback_zeroes_supporters():
+    # 3 reaches q = 7/4 at rank 1; nobody else reaches it at any rank, so
+    # the fallback fills two seats. Electing 2 zeroes both ballots ranking
+    # 2, which takes 1's only support away in the last round.
+    election = make_election(
+        ["a", "b", "c", "d"],
+        [((0,), 1), ((2, 3), 1), ((3,), 4), ((3, 2, 1), 1)],
+        3,
+    )
+    result = ear(election)
+    assert_same_count(result, reference_ear(election))
+    assert result.winners.members == {0, 2, 3}
+    assert [rnd.threshold for rnd in result.log.rounds] == [1, 5, 5]
+    assert result.log.notes
+    second, third = result.log.rounds[1:]
+    assert second.totals[1] == rational(13, 20)
+    assert second.totals[2] == rational(33, 20)
+    assert third.totals[1] == third.totals[2] == ZERO
+
+
+def test_ear_round_logs_match_rational_reference_on_wards(
+    east_ayrshire, north_ayrshire
+):
+    for election in (east_ayrshire, north_ayrshire):
+        assert_same_count(ear(election), reference_ear(election))
+
+
+def test_ear_round_logs_match_rational_reference_on_randoms():
+    fallbacks = 0
+    for seed in (90125, 4821):
+        rng = random.Random(seed)
+        for _ in range(60):
+            election = random_profile(rng, m_max=7, v_max=60, k_max=4)
+            want = reference_ear(election)
+            assert_same_count(ear(election), want)
+            fallbacks += bool(want.log.notes)
+    assert fallbacks  # the rank-thresholds-exhausted branch is exercised
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "family", [f for f in FAMILIES if f.startswith("EAR_")]
+)
+def test_ear_round_logs_match_rational_reference_on_worst_cases(family, k):
+    case = generate(GeneratorSpec(family, k))
+    reduced = Election(
+        remove_ballots(case.election.profile, case.removal), case.election.k
+    )
+    for election in (case.election, reduced):
+        assert_same_count(ear(election), reference_ear(election))
+
+
+def seeded_ward(seed, m=8, k=3, voters=200, stop=0.3):
+    """A Plackett-Luce ward of truncated rankings drawn from one seed."""
+    rng = random.Random(seed)
+    strengths = [rng.uniform(0.3, 2.0) for _ in range(m)]
+    counts = {}
+    for _ in range(voters):
+        remaining = list(range(m))
+        ranking = []
+        while remaining:
+            pick = rng.choices(range(len(remaining)),
+                               [strengths[c] for c in remaining])[0]
+            ranking.append(remaining.pop(pick))
+            if rng.random() < stop:
+                break
+        counts[tuple(ranking)] = counts.get(tuple(ranking), 0) + 1
+    return make_election([f"c{i}" for i in range(m)], sorted(counts.items()), k)
+
+
+def test_ear_round_logs_match_rational_reference_on_loser_removals():
+    # the probes an ILVB search makes: loser-only pools, graded fractions
+    election = seeded_ward(2024)
+    profile = election.profile
+    winners = ear(election).winners.members
+    losers = frozenset(range(profile.m)) - winners
+    probes = 0
+    for b in sorted(losers):
+        pool = ballots_ranking_only(profile, losers - {b})
+        for i in (1, 4, 7, 10):
+            part = fraction_of(pool, i, 10)
+            if not part or part.total >= profile.total_ballots:
+                continue
+            reduced = Election(remove_ballots(profile, part), election.k)
+            assert_same_count(ear(reduced), reference_ear(reduced))
+            probes += 1
+    assert probes >= 10
+
+
 # ------------------------------------------------------ Chamberlin-Courant
 
 
@@ -424,20 +520,44 @@ def test_cc_om_vs_pm_disagree_on_truncation():
     assert score_pm >= cc_score(election.profile, om.members, "pm")
 
 
-def test_cc_matches_bruteforce_on_randoms():
-    import random
+def reference_cc(profile, k, model):
+    """The argmax of cc_score under cc()'s tie rule: first best committee wins."""
+    best, best_score, tie = None, 0, False
+    for committee in itertools.combinations(range(profile.m), k):
+        score = cc_score(profile, committee, model)
+        if best is None or score > best_score:
+            best, best_score, tie = committee, score, False
+        elif score == best_score:
+            tie = True
+    return WinnerSet(frozenset(best), tie)
 
+
+def test_cc_matches_bruteforce_on_randoms():
     rng = random.Random(4821)
+    flagged = 0
     for _ in range(60):
-        election = random_profile(rng, m_max=6, v_max=30, k_max=3)
-        for model in ("om", "pm"):
-            winners, _ = tabulate(election, f"cc-{model}")
-            expected = brute_cc_best(election.profile, election.k, model)
-            got_score = cc_score(election.profile, winners.members, model)
-            want_score = cc_score(election.profile, expected, model)
-            assert got_score == want_score
-            if not winners.tie_flag:
-                assert winners.members == expected
+        base = random_profile(rng, m_max=6, v_max=30, k_max=3)
+        # max() over a single column needs its own path, so k = 1 always runs
+        for k in sorted({1, base.k}):
+            election = Election(base.profile, k)
+            for model in ("om", "pm"):
+                winners, _ = tabulate(election, f"cc-{model}")
+                expected = brute_cc_best(election.profile, k, model)
+                got_score = cc_score(election.profile, winners.members, model)
+                want_score = cc_score(election.profile, expected, model)
+                assert got_score == want_score
+                if not winners.tie_flag:
+                    assert winners.members == expected
+                # members and tie flag as the argmax of the definition gives them
+                assert winners == reference_cc(election.profile, k, model)
+                flagged += winners.tie_flag
+    assert flagged  # tied committees are among the cases
+
+
+def test_cc_rejects_unknown_model():
+    election = make_election(["a", "b"], [((0,), 2), ((1,), 1)], 1)
+    with pytest.raises(ValueError):
+        cc(election, "xx")
 
 
 def test_cc_enumeration_guard():
@@ -599,3 +719,9 @@ def test_meek_round_logs_match_rational_reference(election, tolerance):
         meek_stv(election, tolerance=tolerance),
         reference_meek_stv(election, tolerance=tolerance),
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(elections(), tied_elections()))
+def test_ear_round_logs_match_rational_reference(election):
+    assert_same_count(ear(election), reference_ear(election))
