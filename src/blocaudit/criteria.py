@@ -18,7 +18,10 @@ before and after, apply the predicate, return a ViolationRecord or None.
 The searches are heuristics that probe graded fractions of each pool, and
 search_party_swaps restricts the same pools to removals that move one seat
 between two parties. Searches over one (election, rule) can share a
-ProbeSession, so each removal is tabulated once; audit and batch do. Every
+ProbeSession, so each removal is scored once; audit and batch do. The
+session tabulates the reduced election for most rules; for the
+Chamberlin-Courant tags it subtracts the removed ballots' unit score rows,
+built lazily per ballot type, from the base committee scores. Every
 reported record is re-checked by a fresh call to the public check_*, never
 from the session. oracle_ilvb exhaustively enumerates loser-only removals
 for small instances and is the ground truth the heuristics are tested
@@ -27,17 +30,28 @@ against.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import product, repeat
+from operator import mul, sub
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import OracleBudgetError, PreconditionError
-from .methods import METHOD_TAGS, TabulationResult, WinnerSet, tabulate
+from .methods import (
+    METHOD_TAGS,
+    TabulationResult,
+    WinnerSet,
+    _cc_argmax,
+    _cc_scores,
+    tabulate,
+)
 from .profiles import (
     BallotSelection,
+    BallotType,
     Election,
     PreferenceProfile,
+    _validate_removal,
     ballots_ranking_only,
     fraction_of,
     remove_ballots,
@@ -123,21 +137,42 @@ class ProbeSession:
     """The base outcome of one (election, rule) and memos of what its searches build.
 
     The main memo maps each removed BallotSelection to the winner set that is
-    left, so every search sharing the session tabulates a removal once,
-    however many criteria and pools probe it. Two smaller memos keep the
-    removal pools (by allowed candidate set) and the transfer orders (by
-    target pair), which the searches of one rule rebuild otherwise. The
-    searches read nothing else; the public checks never read the session.
+    left, so every search sharing the session scores a removal once, however
+    many criteria and pools probe it. Smaller memos keep the graded
+    fractions of each removal pool (by allowed candidate set and sigma), the
+    ranked union of each probed removal and the transfer orders (by target
+    pair), which the searches of one rule rebuild otherwise. The searches
+    read nothing else; the public checks never read the session.
+
+    Most rules score a removal by tabulating the reduced election. The
+    Chamberlin-Courant tags ("cc-om", "cc-pm") score it by difference
+    instead: a committee's score is linear in the ballot-type counts, so the
+    session keeps the base scores of every committee and subtracts r times
+    the unit row of each type t it removes r ballots of. The unit row of t
+    is the same kernel applied to one ballot of type t, built the first time
+    a probe removes t.
     """
 
     def __init__(self, election: Election, method: MethodLike):
         self.election = election
         self.method = method
-        self.before = _run(method, election).winners
+        self._cc_model = method[-2:] if method in ("cc-om", "cc-pm") else None
+        if self._cc_model is None:
+            self.before = _run(method, election).winners
+        else:
+            profile = election.profile
+            self._cc_base = _cc_scores(
+                profile.ballots, profile.m, election.k, self._cc_model
+            )
+            self._cc_units: dict[int, array] = {}
+            self.before = _cc_argmax(self._cc_base, profile.m, election.k)
         self.winners = self.before.members
         self.losers = frozenset(range(election.profile.m)) - self.winners
         self._memo: dict[BallotSelection, WinnerSet] = {}
-        self._pools: dict[frozenset[int], BallotSelection] = {}
+        self._fractions: dict[
+            tuple[frozenset[int], int], tuple[BallotSelection, ...]
+        ] = {}
+        self._unions: dict[BallotSelection, frozenset[int]] = {}
         self._orders: dict[tuple[int, int], list[int]] = {}
 
     def usable(self, selection: BallotSelection) -> bool:
@@ -146,17 +181,51 @@ class ProbeSession:
     def winners_after(self, selection: BallotSelection) -> WinnerSet:
         winners = self._memo.get(selection)
         if winners is None:
-            winners = _run(self.method, _without(self.election, selection)).winners
+            if self._cc_model is None:
+                winners = _run(self.method, _without(self.election, selection)).winners
+            else:
+                winners = self._cc_winners_after(selection)
             self._memo[selection] = winners
         return winners
 
-    def pool(self, allowed: frozenset[int]) -> BallotSelection:
-        """Every ballot ranking only candidates in allowed."""
-        pool = self._pools.get(allowed)
-        if pool is None:
+    def _cc_winners_after(self, selection: BallotSelection) -> WinnerSet:
+        profile = self.election.profile
+        m, k = profile.m, self.election.k
+        _validate_removal(profile, selection)
+        scores = self._cc_base
+        for t, removed in selection.entries:
+            unit = self._cc_units.get(t)
+            if unit is None:
+                one = BallotType(profile.ballots[t].ranking, 1)
+                unit = array("q", _cc_scores((one,), m, k, self._cc_model))
+                self._cc_units[t] = unit
+            if removed != 1:
+                unit = map(mul, unit, repeat(removed))
+            scores = list(map(sub, scores, unit))
+        return _cc_argmax(scores, m, k)
+
+    def fractions(
+        self, allowed: frozenset[int], sigma: int
+    ) -> tuple[BallotSelection, ...]:
+        """Graded parts i/sigma, i = 1..sigma, of all ballots ranking only allowed.
+
+        Empty and repeated parts are dropped; the rest keep the order of i.
+        """
+        parts = self._fractions.get((allowed, sigma))
+        if parts is None:
             pool = ballots_ranking_only(self.election.profile, allowed)
-            self._pools[allowed] = pool
-        return pool
+            graded = (fraction_of(pool, i, sigma) for i in range(1, sigma + 1))
+            parts = tuple(dict.fromkeys(part for part in graded if part))
+            self._fractions[(allowed, sigma)] = parts
+        return parts
+
+    def ranked_union(self, selection: BallotSelection) -> frozenset[int]:
+        """Every candidate ranked by at least one ballot of the selection."""
+        ranked = self._unions.get(selection)
+        if ranked is None:
+            ranked = selection_ranked_union(self.election.profile, selection)
+            self._unions[selection] = ranked
+        return ranked
 
     def transfer_order(self, a: int, b: int) -> list[int]:
         """_transfer_order(A, B) over the winners other than A."""
@@ -336,17 +405,6 @@ def _verified(
     return out
 
 
-def _graded_fractions(
-    pool: BallotSelection, sigma: int
-) -> Iterable[BallotSelection]:
-    seen = set()
-    for i in range(1, sigma + 1):
-        part = fraction_of(pool, i, sigma)
-        if part and part not in seen:
-            seen.add(part)
-            yield part
-
-
 def _transfer_order(
     profile: PreferenceProfile, committee: Iterable[int], a: int, b: int
 ) -> list[int]:
@@ -418,10 +476,10 @@ def _search(
                 allowed -= blocked
                 if not allowed:
                     continue
-                for selection in _graded_fractions(session.pool(allowed), sigma):
+                for selection in session.fractions(allowed, sigma):
                     if not session.usable(selection):
                         continue
-                    ranked = selection_ranked_union(profile, selection)
+                    ranked = session.ranked_union(selection)
                     after = session.winners_after(selection)
                     if not spec.hit(winners, ranked, after.members):
                         continue

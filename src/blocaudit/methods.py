@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     EnumerationGuardError,
     MeekNonConvergenceError,
     PreconditionError,
 )
-from .profiles import Election, PreferenceProfile
+from .profiles import BallotType, Election, PreferenceProfile
 from .rationals import ONE, ZERO, decimal_string, rational
 
 HOPEFUL = "hopeful"
@@ -537,48 +537,66 @@ def cc_score(profile: PreferenceProfile, committee: Iterable[int], model: str) -
     return score
 
 
-def cc(election: Election, model: str) -> WinnerSet:
-    """Exact Chamberlin-Courant: argmax of cc_score over all size-k committees.
-
-    Ties go to the lexicographically smallest id tuple, with the tie flag set.
-    Refuses profiles with more than MAX_ENUM_CANDIDATES candidates.
+def _cc_scores(
+    ballots: Sequence[BallotType], m: int, k: int, model: str
+) -> list[int]:
+    """cc_score of every size-k committee, in itertools.combinations order.
 
     Scores are exact integers. cols[c][t] holds what ballot type t gives a
     committee whose best-ranked member on it is c: multiplicity * (m - 1 -
     position) when t ranks c, and otherwise the unranked score (multiplicity
     * (m - len - 1) under "om", 0 under "pm"), which is never above a
     ranked one. A committee's cc_score is then sum(map(max, *its columns)).
+    Refuses m above MAX_ENUM_CANDIDATES.
     """
     if model not in ("om", "pm"):
         raise ValueError(f"model must be 'om' or 'pm', got {model!r}")
-    profile = election.profile
-    m = profile.m
     if m > MAX_ENUM_CANDIDATES:
         raise EnumerationGuardError(
             f"committee enumeration needs m <= {MAX_ENUM_CANDIDATES} candidates, got {m}"
         )
     unranked = [
         bt.multiplicity * (m - len(bt.ranking) - 1) if model == "om" else 0
-        for bt in profile.ballots
+        for bt in ballots
     ]
     cols = [list(unranked) for _ in range(m)]
-    for t, bt in enumerate(profile.ballots):
+    for t, bt in enumerate(ballots):
         for pos, cid in enumerate(bt.ranking):
             cols[cid][t] = bt.multiplicity * (m - 1 - pos)
-    best: tuple[int, ...] | None = None
-    best_score = 0
-    tie = False
-    for committee in itertools.combinations(range(m), election.k):
-        if len(committee) == 1:
-            score = sum(cols[committee[0]])  # max() of a single int raises
-        else:
-            score = sum(map(max, *(cols[c] for c in committee)))
-        if best is None or score > best_score:
-            best, best_score, tie = committee, score, False
-        elif score == best_score:
-            tie = True
-    assert best is not None
-    return WinnerSet(frozenset(best), tie)
+    if k == 1:
+        return [sum(col) for col in cols]  # max() of a single int raises
+    return [
+        sum(map(max, *(cols[c] for c in committee)))
+        for committee in itertools.combinations(range(m), k)
+    ]
+
+
+def _cc_argmax(scores: Sequence[int], m: int, k: int) -> WinnerSet:
+    """The committee of the first best score, tie-flagged when it is not unique.
+
+    scores are in itertools.combinations(range(m), k) order, as _cc_scores
+    gives them, so the first best is the lexicographically smallest.
+    """
+    best = max(scores)
+    first = scores.index(best)
+    committees = itertools.combinations(range(m), k)
+    committee = next(itertools.islice(committees, first, None))
+    return WinnerSet(frozenset(committee), scores.count(best) > 1)
+
+
+def cc(election: Election, model: str) -> WinnerSet:
+    """Exact Chamberlin-Courant: argmax of cc_score over all size-k committees.
+
+    Ties go to the lexicographically smallest id tuple, with the tie flag set.
+    Refuses profiles with more than MAX_ENUM_CANDIDATES candidates. The
+    scores come from one integer kernel (_cc_scores) and are linear in the
+    ballot-type multiplicities, so a probe session (criteria.ProbeSession)
+    scores a removal by difference: the base scores minus, for each removed
+    type, its count times its unit row (the kernel applied to one ballot of
+    that type, built the first time a probe removes it), then this argmax.
+    """
+    m, k = election.profile.m, election.k
+    return _cc_argmax(_cc_scores(election.profile.ballots, m, k, model), m, k)
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,6 @@ class BallotType:
             )
 
     @property
-    def is_bullet(self) -> bool:
-        return len(self.ranking) == 1
-
-    @property
     def ranked_set(self) -> frozenset[int]:
         return frozenset(self.ranking)
 
@@ -173,6 +169,13 @@ def _validate_selection(profile: PreferenceProfile, selection: BallotSelection):
             )
 
 
+def _validate_removal(profile: PreferenceProfile, selection: BallotSelection):
+    """Raise InputError unless removing the selection leaves a ballot behind."""
+    _validate_selection(profile, selection)
+    if selection.total == profile.total_ballots:
+        raise InputError("removing this selection would empty the profile")
+
+
 def ballots_ranking_only(
     profile: PreferenceProfile, allowed: Iterable[int]
 ) -> BallotSelection:
@@ -184,16 +187,6 @@ def ballots_ranking_only(
         (i, bt.multiplicity)
         for i, bt in enumerate(profile.ballots)
         if bt.ranked_set <= allowed_set
-    ]
-    return BallotSelection(tuple(entries))
-
-
-def bullet_votes(profile: PreferenceProfile, candidate_id: int) -> BallotSelection:
-    """The single-candidate ballot type for `candidate_id` (empty if none)."""
-    entries = [
-        (i, bt.multiplicity)
-        for i, bt in enumerate(profile.ballots)
-        if bt.ranking == (candidate_id,)
     ]
     return BallotSelection(tuple(entries))
 
@@ -236,15 +229,13 @@ def remove_ballots(
     Ballot types that reach zero are dropped; the candidate roster is kept
     unchanged even if a candidate ends with no remaining support.
     """
-    _validate_selection(profile, selection)
+    _validate_removal(profile, selection)
     counts = dict(selection.entries)
     remaining = []
     for i, bt in enumerate(profile.ballots):
         left = bt.multiplicity - counts.get(i, 0)
         if left > 0:
             remaining.append(BallotType(bt.ranking, left))
-    if not remaining:
-        raise InputError("removing this selection would empty the profile")
     return PreferenceProfile(profile.candidates, tuple(remaining))
 
 

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -5,15 +6,21 @@ import pytest
 import blocaudit.criteria as criteria
 import golden
 from blocaudit import (
+    FAMILIES,
+    Election,
+    GeneratorSpec,
+    InputError,
     OracleBudgetError,
     PreconditionError,
     SearchParams,
     check_ilvb,
     check_iwvb,
     check_iwvb_star,
+    generate,
     make_election,
     oracle_ilvb,
     record_to_json,
+    remove_ballots,
     search_ilvb,
     search_iwvb,
     search_party_swaps,
@@ -22,6 +29,8 @@ from blocaudit import (
 )
 from blocaudit.criteria import ProbeSession
 from blocaudit.profiles import BallotSelection
+from cc_reference import reference_cc
+from conftest import random_profile
 
 # ----------------------------------------------------------------- checks
 
@@ -281,7 +290,9 @@ def test_search_rejects_session_of_another_election_or_rule(
 
 def test_session_builds_each_pool_and_order_once(east_ayrshire, monkeypatch):
     pools, orders = Counter(), Counter()
+    fractions, unions = Counter(), Counter()
     real_pool, real_order = criteria.ballots_ranking_only, criteria._transfer_order
+    real_fraction, real_union = criteria.fraction_of, criteria.selection_ranked_union
 
     def counting_pool(profile, allowed):
         pools[frozenset(allowed)] += 1
@@ -291,8 +302,21 @@ def test_session_builds_each_pool_and_order_once(east_ayrshire, monkeypatch):
         orders[(tuple(committee), a, b)] += 1
         return real_order(profile, committee, a, b)
 
+    def counting_fraction(selection, i, sigma):
+        fractions[(selection, i, sigma)] += 1
+        return real_fraction(selection, i, sigma)
+
+    def counting_union(profile, selection):
+        unions[selection] += 1
+        return real_union(profile, selection)
+
     monkeypatch.setattr(criteria, "ballots_ranking_only", counting_pool)
     monkeypatch.setattr(criteria, "_transfer_order", counting_order)
+    monkeypatch.setattr(criteria, "fraction_of", counting_fraction)
+    monkeypatch.setattr(criteria, "selection_ranked_union", counting_union)
+    # the public checks re-verifying each record compute their own unions
+    for name in criteria.CHECKS:
+        monkeypatch.setitem(criteria.CHECKS, name, lambda *args: None)
     session = ProbeSession(east_ayrshire, "scottish")
     search_ilvb(east_ayrshire, "scottish", session=session)
     for star in (False, True):
@@ -300,8 +324,124 @@ def test_session_builds_each_pool_and_order_once(east_ayrshire, monkeypatch):
     for criterion in ("ILVB", "IWVB", "IWVB_STAR"):
         search_party_swaps(east_ayrshire, "scottish", criterion=criterion,
                            session=session)
-    assert pools and orders
+    assert pools and orders and fractions and unions
     assert max(pools.values()) == max(orders.values()) == 1
+    assert max(fractions.values()) == max(unions.values()) == 1
+
+
+def cc_probed_session(election, tag):
+    """A session after every search of one CC rule has probed through it."""
+    session = ProbeSession(election, tag)
+    search_ilvb(election, tag, session=session)
+    for star in (False, True):
+        search_iwvb(election, tag, star_mode=star, session=session)
+    for criterion in ("ILVB", "IWVB", "IWVB_STAR"):
+        search_party_swaps(election, tag, criterion=criterion, session=session)
+    return session
+
+
+def mirrored(election):
+    """The election with every ballot type paired with its 0 <-> 1 mirror image."""
+    swap = {0: 1, 1: 0}
+    ballots = Counter()
+    for bt in election.profile.ballots:
+        for ranking in (bt.ranking, tuple(swap.get(c, c) for c in bt.ranking)):
+            ballots[ranking] += bt.multiplicity
+    names = [c.name for c in election.profile.candidates]
+    return make_election(names, sorted(ballots.items()), election.k)
+
+
+def cc_equivalence_elections(east_ayrshire, north_ayrshire):
+    for ward in (east_ayrshire, north_ayrshire):
+        yield ward
+        yield Election(ward.profile, 1)
+    for family in FAMILIES:
+        for k in (2, 3):
+            try:
+                yield generate(GeneratorSpec(family, k)).election
+            except PreconditionError:
+                pass  # the family has no construction with k seats
+    for seed in (90125, 4821):
+        rng = random.Random(seed)
+        for _ in range(25):
+            election = random_profile(rng, m_max=6, v_max=40, k_max=3)
+            for k in sorted({1, election.k}):
+                yield Election(election.profile, k)
+                if election.profile.m > 2:
+                    yield mirrored(Election(election.profile, k))
+
+
+def test_session_cc_probes_match_definition(east_ayrshire, north_ayrshire):
+    # every probe the searches make, scored by difference from the base
+    # scores, gives the argmax of cc_score on the reduced profile
+    probes = tied = single_seat = 0
+    for election in cc_equivalence_elections(east_ayrshire, north_ayrshire):
+        profile, k = election.profile, election.k
+        for model in ("om", "pm"):
+            session = cc_probed_session(election, f"cc-{model}")
+            assert session.before == reference_cc(profile, k, model)
+            for selection, winners in session._memo.items():
+                reduced = remove_ballots(profile, selection)
+                assert winners == reference_cc(reduced, k, model), (
+                    election.title, model, selection
+                )
+                probes += 1
+                tied += winners.tie_flag
+                single_seat += k == 1
+    assert probes > 1000 and tied and single_seat
+
+
+@pytest.mark.parametrize("method", ["scottish", "cc-om", "cc-pm"])
+def test_session_winners_after_rejects_bad_removals(east_ayrshire, method):
+    session = ProbeSession(east_ayrshire, method)
+    ballots = east_ayrshire.profile.ballots
+    for selection in (
+        BallotSelection(((len(ballots), 1),)),
+        BallotSelection(((0, ballots[0].multiplicity + 1),)),
+        BallotSelection(tuple((i, bt.multiplicity) for i, bt in enumerate(ballots))),
+    ):
+        with pytest.raises(InputError) as from_session:
+            session.winners_after(selection)
+        with pytest.raises(InputError) as from_removal:
+            remove_ballots(east_ayrshire.profile, selection)
+        assert str(from_session.value) == str(from_removal.value)
+
+
+@pytest.mark.parametrize("tag", ["cc-om", "cc-pm"])
+def test_session_scores_cc_probes_without_tabulating(
+    east_ayrshire, monkeypatch, tag
+):
+    # only the public checks that re-verify each record may tabulate or
+    # remove ballots; the session scores every probe from its own rows
+    outside_checks = Counter()
+    in_check = []
+
+    def counting(name, real):
+        def run(*args, **kwargs):
+            if not in_check:
+                outside_checks[name] += 1
+            return real(*args, **kwargs)
+        return run
+
+    def flagged(check):
+        def run(*args):
+            in_check.append(True)
+            try:
+                return check(*args)
+            finally:
+                in_check.pop()
+        return run
+
+    for name in ("tabulate", "remove_ballots"):
+        monkeypatch.setattr(criteria, name, counting(name, getattr(criteria, name)))
+    for name, check in list(criteria.CHECKS.items()):
+        monkeypatch.setitem(criteria.CHECKS, name, flagged(check))
+    session = cc_probed_session(east_ayrshire, tag)
+    assert len(session._memo) > 20
+    assert not outside_checks
+    # the same count sees every probe of a tabulating rule, plus its base
+    cc_probed_session(east_ayrshire, "scottish")
+    assert outside_checks["tabulate"] == outside_checks["remove_ballots"] + 1 > 20
 
 
 # ------------------------------------------------------------------- oracle

@@ -13,7 +13,6 @@ from blocaudit import (
     GeneratorSpec,
     MeekNonConvergenceError,
     ScoringVector,
-    WinnerSet,
     ballots_ranking_only,
     borda_vector,
     cc,
@@ -31,6 +30,7 @@ from blocaudit import (
     tabulate,
 )
 from blocaudit.rationals import ONE, ZERO, rational
+from cc_reference import reference_cc
 from conftest import assert_rounds_match, random_profile, round1
 from ear_reference import reference_ear
 from meek_reference import reference_meek_stv
@@ -518,18 +518,6 @@ def test_cc_om_vs_pm_disagree_on_truncation():
     score_pm = cc_score(election.profile, pm.members, "pm")
     assert score_om >= cc_score(election.profile, pm.members, "om")
     assert score_pm >= cc_score(election.profile, om.members, "pm")
-
-
-def reference_cc(profile, k, model):
-    """The argmax of cc_score under cc()'s tie rule: first best committee wins."""
-    best, best_score, tie = None, 0, False
-    for committee in itertools.combinations(range(profile.m), k):
-        score = cc_score(profile, committee, model)
-        if best is None or score > best_score:
-            best, best_score, tie = committee, score, False
-        elif score == best_score:
-            tie = True
-    return WinnerSet(frozenset(best), tie)
 
 
 def test_cc_matches_bruteforce_on_randoms():

@@ -14,7 +14,7 @@ from blocaudit import (
     selection_ballots,
     selection_from_rankings,
 )
-from blocaudit.profiles import bullet_votes, selection_ranked_union
+from blocaudit.profiles import selection_ranked_union
 
 
 def small_profile():
@@ -32,8 +32,6 @@ def test_ballot_type_validation():
         BallotType((0,), 0)
     bt = BallotType((2, 1), 7)
     assert bt.ranked_set == frozenset({1, 2})
-    assert not bt.is_bullet
-    assert BallotType((2,), 1).is_bullet
 
 
 def test_from_ballots_merges_duplicates():
@@ -64,12 +62,6 @@ def test_ballots_ranking_only():
     assert ballots_ranking_only(profile, {0}).total == 0
     with pytest.raises(ValueError):
         ballots_ranking_only(profile, set())
-
-
-def test_bullet_votes():
-    profile = small_profile()
-    assert selection_ballots(profile, bullet_votes(profile, 1)) == [((1,), 3)]
-    assert bullet_votes(profile, 0).total == 0
 
 
 def test_selection_ranked_union():
