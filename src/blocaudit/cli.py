@@ -10,6 +10,10 @@ Subcommands:
 - psc: print solid coalitions, quota constraints, compatible committees,
   and optionally the constrained scoring winner or a Hare-quota audit.
 
+audit and batch run the five audit rules (AUDIT_METHODS) and share one
+settings parser and one per-file audit: audit reads its settings from flags,
+batch from its config file, and both validate them before any election runs.
+
 Exit codes: 0 success, 1 a batch record that failed its spot check (the
 reports are still written), 2 input problems (unreadable or malformed files,
 bad parameters), 3 computation refusals (non-convergence, enumeration guards,
@@ -23,6 +27,7 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -39,6 +44,7 @@ from .criteria import (
 from .errors import ComputationError, InputError
 from .formats import load_election, serialize_blt
 from .methods import (
+    AUDIT_METHODS,
     METHOD_TAGS,
     ScoringVector,
     result_to_json,
@@ -57,9 +63,7 @@ from .psc import (
 from .rationals import decimal_string, parse_rational
 from .worstcase import FAMILIES, GeneratorSpec, generate
 
-AUDIT_METHODS = ("scottish", "meek", "ear", "cc-om", "cc-pm")
 _CRITERION_FLAGS = {"ilvb": "ILVB", "iwvb": "IWVB", "iwvb-star": "IWVB_STAR"}
-_REPORT_COLUMNS = ("scottish", "meek", "ear", "cc_om", "cc_pm")
 
 
 def _parse_list(text: str, allowed: tuple[str, ...], label: str) -> list[str]:
@@ -74,16 +78,49 @@ def _parse_list(text: str, allowed: tuple[str, ...], label: str) -> list[str]:
     return items
 
 
+# The audit settings and the parser of each one's text value.
+_SETTINGS = {
+    "methods": lambda text: _parse_list(text, AUDIT_METHODS, "method"),
+    "criteria": lambda text: [
+        _CRITERION_FLAGS[c]
+        for c in _parse_list(text, tuple(_CRITERION_FLAGS), "criterion")
+    ],
+    "sigma_l": int,
+    "sigma_w": int,
+    "party_swaps": {"true": True, "false": False}.__getitem__,
+    "workers": int,
+}
+
+
+def _parse_settings(entries) -> dict:
+    """The audit settings from (where, key, text) entries, defaults for the rest.
+
+    Both audit's flags and batch's config lines come here, and every value
+    is checked here, SearchParams included, before any election runs. where
+    (a config file's "path:line: ") prefixes the errors of its entry.
+    """
+    settings = {"methods": AUDIT_METHODS, "criteria": CRITERIA,
+                "party_swaps": False, "workers": None}
+    sigmas = {}
+    for where, key, text in entries:
+        if key not in _SETTINGS:
+            raise InputError(f"{where}unknown key {key!r}; "
+                             f"expected one of {', '.join(_SETTINGS)}")
+        try:
+            value = _SETTINGS[key](text)
+        except (KeyError, ValueError):
+            raise InputError(f"{where}cannot read {key}={text!r}") from None
+        (sigmas if key.startswith("sigma") else settings)[key] = value
+    settings["params"] = SearchParams(**sigmas)
+    return settings
+
+
 def _parse_sv(text: str) -> ScoringVector:
     try:
         parts = tuple(parse_rational(p) for p in text.split(","))
     except ValueError as exc:
         raise InputError(f"cannot parse scoring vector {text!r}: {exc}") from exc
     return ScoringVector(parts)
-
-
-def _election_id(path: Path) -> str:
-    return path.stem
 
 
 # ---------------------------------------------------------------- tabulate
@@ -164,32 +201,29 @@ def _audit_one(election: Election, methods, criteria, params, party_swaps):
     return records, tied_methods
 
 
-def cmd_audit(args) -> int:
-    election = load_election(args.path)
-    methods = _parse_list(args.method, METHOD_TAGS, "method")
-    criteria = [
-        _CRITERION_FLAGS[c]
-        for c in _parse_list(args.criteria, tuple(_CRITERION_FLAGS), "criterion")
-    ]
-    params = SearchParams(sigma_l=args.sigma_l, sigma_w=args.sigma_w)
+def _audit_file(path: Path, settings: dict) -> tuple[list[dict], list[str]]:
+    """The records of one election file, as JSON dicts, and its tied rules."""
+    election = load_election(path)
     records, tied = _audit_one(
-        election, methods, criteria, params, args.party_swaps
+        election, settings["methods"], settings["criteria"],
+        settings["params"], settings["party_swaps"],
     )
-    election_id = _election_id(Path(args.path))
-    lines = [
-        json.dumps(record_to_json(rec, election.profile, election_id))
-        for rec in records
-    ]
+    return [record_to_json(rec, election.profile, path.stem) for rec in records], tied
+
+
+def cmd_audit(args) -> int:
+    settings = _parse_settings(
+        ("", key, text) for key, text in vars(args).items()
+        if key in _SETTINGS and text is not None
+    )
+    records, tied = _audit_file(Path(args.path), settings)
+    lines = [json.dumps(record) for record in records]
     if args.out:
         Path(args.out).write_text("".join(line + "\n" for line in lines))
     else:
         for line in lines:
             print(line)
-    counts: dict[tuple[str, str], int] = {}
-    for rec in records:
-        counts[(rec.criterion, rec.method)] = counts.get(
-            (rec.criterion, rec.method), 0
-        ) + 1
+    counts = Counter((record["criterion"], record["method"]) for record in records)
     for (criterion, method), n in sorted(counts.items()):
         print(f"{criterion} {method}: {n}", file=sys.stderr)
     print(f"total records: {len(records)}", file=sys.stderr)
@@ -200,69 +234,27 @@ def cmd_audit(args) -> int:
 
 # ------------------------------------------------------------------- batch
 
-_CONFIG_DEFAULTS = {
-    "methods": AUDIT_METHODS,
-    "criteria": CRITERIA,
-    "sigma_l": 10,
-    "sigma_w": 3,
-    "party_swaps": False,
-    "workers": None,
-}
 
-
-def _parse_config(path: str | None) -> dict:
-    """The batch settings: the defaults, overridden by key=value lines in path."""
-    cfg = dict(_CONFIG_DEFAULTS)
-    if path is None:
-        return cfg
+def _config_entries(path: str | None):
+    """(where, key, text) for each key=value line of a batch config file."""
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path}:{line_no}: "
         if "=" not in line:
-            raise InputError(f"{path}:{line_no}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _CONFIG_DEFAULTS:
-            raise InputError(
-                f"{path}:{line_no}: unknown key {key!r}; "
-                f"expected one of {', '.join(_CONFIG_DEFAULTS)}"
-            )
-        if key == "methods":
-            cfg[key] = _parse_list(value, METHOD_TAGS, "method")
-        elif key == "criteria":
-            cfg[key] = [
-                _CRITERION_FLAGS[c]
-                for c in _parse_list(value, tuple(_CRITERION_FLAGS), "criterion")
-            ]
-        elif key in ("sigma_l", "sigma_w", "workers"):
-            try:
-                cfg[key] = int(value)
-            except ValueError as exc:
-                raise InputError(f"{path}:{line_no}: {key} must be an integer") from exc
-        elif key == "party_swaps":
-            if value not in ("true", "false"):
-                raise InputError(f"{path}:{line_no}: party_swaps must be true or false")
-            cfg[key] = value == "true"
-    return cfg
+            raise InputError(f"{where}expected key=value, got {raw!r}")
+        key, _, text = line.partition("=")
+        yield where, key.strip(), text.strip()
 
 
 def _batch_worker(task):
     """Audit one election file; returns plain data for cross-process transport."""
-    path_str, cfg = task
+    path_str, settings = task
     path = Path(path_str)
-    out = {"election_id": _election_id(path), "records": [], "tied": [], "error": None}
+    out = {"election_id": path.stem, "records": [], "tied": [], "error": None}
     try:
-        election = load_election(path)
-        params = SearchParams(sigma_l=cfg["sigma_l"], sigma_w=cfg["sigma_w"])
-        records, tied = _audit_one(
-            election, cfg["methods"], cfg["criteria"], params, cfg["party_swaps"]
-        )
-        out["records"] = [
-            record_to_json(rec, election.profile, out["election_id"])
-            for rec in records
-        ]
-        out["tied"] = tied
+        out["records"], out["tied"] = _audit_file(path, settings)
     except (InputError, OSError, ComputationError) as exc:
         out["error"] = f"{type(exc).__name__}: {exc}"
     return out
@@ -287,7 +279,7 @@ def cmd_batch(args) -> int:
     corpus = Path(args.dir)
     if not corpus.is_dir():
         raise InputError(f"not a directory: {corpus}")
-    cfg = _parse_config(args.config)
+    settings = _parse_settings(_config_entries(args.config) if args.config else ())
     out_dir = Path(args.out) if args.out else corpus / "audit_out"
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.jsonl"
@@ -316,20 +308,17 @@ def cmd_batch(args) -> int:
             (records_path, _record_election), (tied_path, _tied_election)
         ):
             if path.exists():
-                lines = path.read_text().splitlines()
-                kept = [line for line in lines if election_of(line) in done]
-                if kept != lines:
-                    _replace_lines(path, kept)
+                _rewrite_by_election(path, election_of, done.__contains__)
     else:
         for p in (records_path, done_path, errors_path, tied_path):
             if p.exists():
                 p.unlink()
 
     pending = [p for eid, p in sorted(by_id.items()) if eid not in done]
-    workers = args.workers or cfg["workers"] or int(
+    workers = args.workers or settings["workers"] or int(
         os.environ.get("RCV_AUDIT_WORKERS", "1")
     )
-    tasks = [(str(p), cfg) for p in pending]
+    tasks = [(str(p), settings) for p in pending]
     # errors.txt starts afresh: every election that errored before is retried.
     with records_path.open("a") as rec_f, done_path.open("a") as done_f, \
             errors_path.open("w") as err_f, tied_path.open("a") as tied_f:
@@ -343,13 +332,15 @@ def cmd_batch(args) -> int:
         else:
             for task in tasks:
                 _absorb_batch_result(_batch_worker(task), rec_f, done_f, err_f, tied_f)
+    errored = errors_path.read_text().count("\n")
 
     # A retried election's lines were appended after the rest; put them back
     # in election order, where a clean run writes them.
     all_records = [
-        json.loads(line) for line in _sort_by_election(records_path, _record_election)
+        json.loads(line)
+        for line in _rewrite_by_election(records_path, _record_election)
     ]
-    _sort_by_election(tied_path, _tied_election)
+    _rewrite_by_election(tied_path, _tied_election)
     _write_batch_reports(out_dir, all_records)
 
     checked = failures = 0
@@ -363,8 +354,8 @@ def cmd_batch(args) -> int:
                 print(f"spot-check FAILED: {record}", file=sys.stderr)
     print(
         f"audited {len(pending)} elections ({len(done)} skipped as done); "
-        f"{len(all_records)} records; spot-checked {checked}, "
-        f"{failures} failures",
+        f"{errored} errored (see errors.txt); {len(all_records)} records; "
+        f"spot-checked {checked}, {failures} failures",
         file=sys.stderr,
     )
     return 1 if failures else 0
@@ -397,20 +388,19 @@ def _tied_election(line: str) -> str:
     return line.rsplit(" ", 1)[0]
 
 
-def _replace_lines(path: Path, lines: list[str]) -> None:
-    """Rewrite path to hold exactly lines, through a temp file and os.replace."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("".join(line + "\n" for line in lines))
-    os.replace(tmp, path)
+def _rewrite_by_election(path: Path, election_of, keep=bool) -> list[str]:
+    """path's lines whose election id keep accepts, stably sorted by that id.
 
-
-def _sort_by_election(path: Path, election_of) -> list[str]:
-    """The file's lines, stably sorted by election id; rewritten if that moved any."""
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
-    ordered = sorted(lines, key=election_of)
-    if ordered != lines:
-        _replace_lines(path, ordered)
-    return ordered
+    By default every line naming an election is kept. path is rewritten
+    through a temp file and os.replace when that changes it.
+    """
+    lines = path.read_text().splitlines()
+    kept = sorted((line for line in lines if keep(election_of(line))), key=election_of)
+    if kept != lines:
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text("".join(line + "\n" for line in kept))
+        os.replace(tmp, path)
+    return kept
 
 
 def _write_batch_reports(out_dir: Path, records: list[dict]):
@@ -440,12 +430,9 @@ def _write_batch_reports(out_dir: Path, records: list[dict]):
 
     with (out_dir / "report.csv").open("w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["criterion", *_REPORT_COLUMNS])
+        writer.writerow(["criterion", *(m.replace("-", "_") for m in AUDIT_METHODS)])
         for criterion in CRITERIA:
-            cells = [
-                len(grid_elections.get((criterion, col.replace("_", "-")), ()))
-                for col in _REPORT_COLUMNS
-            ]
+            cells = [len(grid_elections.get((criterion, m), ())) for m in AUDIT_METHODS]
             writer.writerow([criterion, *cells])
 
 
@@ -546,17 +533,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="search one election for removal violations")
     p.add_argument("path")
+    # Each dest is a key of _SETTINGS; a flag not given stays None.
     p.add_argument(
-        "--method", "-m", default=",".join(AUDIT_METHODS),
+        "--method", "-m", dest="methods",
         help="comma-separated methods (default all five)",
     )
-    p.add_argument(
-        "--criteria", default="ilvb,iwvb,iwvb-star",
-        help="comma-separated criteria (default all three)",
-    )
-    p.add_argument("--sigma-l", type=int, default=10, dest="sigma_l")
-    p.add_argument("--sigma-w", type=int, default=3, dest="sigma_w")
-    p.add_argument("--party-swaps", action="store_true", dest="party_swaps")
+    p.add_argument("--criteria", help="comma-separated criteria (default all three)")
+    p.add_argument("--sigma-l")
+    p.add_argument("--sigma-w")
+    p.add_argument("--party-swaps", action="store_const", const="true")
     p.add_argument("--out", help="write JSON-lines here instead of stdout")
     p.set_defaults(func=cmd_audit)
 

@@ -39,6 +39,7 @@ from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import OracleBudgetError, PreconditionError
 from .methods import (
+    CC_MODELS,
     METHOD_TAGS,
     TabulationResult,
     WinnerSet,
@@ -156,7 +157,7 @@ class ProbeSession:
     def __init__(self, election: Election, method: MethodLike):
         self.election = election
         self.method = method
-        self._cc_model = method[-2:] if method in ("cc-om", "cc-pm") else None
+        self._cc_model = CC_MODELS.get(method) if isinstance(method, str) else None
         if self._cc_model is None:
             self.before = _run(method, election).winners
         else:

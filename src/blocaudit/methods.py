@@ -29,7 +29,10 @@ HOPEFUL = "hopeful"
 ELECTED = "elected"
 ELIMINATED = "eliminated"
 
-METHOD_TAGS = ("scottish", "meek", "ear", "cc-om", "cc-pm", "positional")
+CC_MODELS = {"cc-om": "om", "cc-pm": "pm"}  # Chamberlin-Courant tag -> model
+# The rules audits run; positional scoring needs a caller's vector.
+AUDIT_METHODS = ("scottish", "meek", "ear", *CC_MODELS)
+METHOD_TAGS = (*AUDIT_METHODS, "positional")
 
 MAX_ENUM_CANDIDATES = 20
 
@@ -687,8 +690,8 @@ def tabulate(
         return meek_stv(election, tolerance=tolerance, max_iterations=max_iterations)
     if method == "ear":
         return ear(election)
-    if method in ("cc-om", "cc-pm"):
-        winners = cc(election, method[-2:])
+    if method in CC_MODELS:
+        winners = cc(election, CC_MODELS[method])
         rnd = Round(1, {}, None, ZERO)
         rnd.events = [RoundEvent("elected", c) for c in sorted(winners.members)]
         return TabulationResult(winners, RoundLog(method, None, [rnd], []))

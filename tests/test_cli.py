@@ -116,6 +116,10 @@ def test_audit_rejects_unknown_criterion(capsys):
     )
     assert code == 2
     assert "unknown criterion" in err
+    # positional needs a scoring vector, so it is not one of the audit rules
+    code, _, err = run(capsys, "audit", str(EAST_AYRSHIRE), "-m", "positional")
+    assert code == 2
+    assert "unknown method" in err
 
 
 def test_audit_sigma_controls_grading(capsys):
@@ -265,6 +269,7 @@ def test_batch_outputs(tmp_path, corpus, capsys):
     )
     assert code == 0
     assert "spot-checked" in err
+    assert "1 errored" in err
     report = (out_dir / "report.csv").read_text().splitlines()
     assert report[0] == "criterion,scottish,meek,ear,cc_om,cc_pm"
     assert len(report) == 4  # header + three criteria rows
@@ -420,6 +425,16 @@ def test_batch_rejects_bad_config(tmp_path, corpus, capsys):
         code, _, err = run(capsys, "batch", str(corpus), "--config", str(cfg))
         assert code == 2
         assert "unknown key" in err
+    cfg.write_text("methods=positional\n")
+    code, _, err = run(capsys, "batch", str(corpus), "--config", str(cfg))
+    assert code == 2
+    assert "unknown method" in err
+    # settings are checked before any election runs or any output is written
+    cfg.write_text("sigma_l=0\n")
+    code, _, err = run(capsys, "batch", str(corpus), "--config", str(cfg))
+    assert code == 2
+    assert "sigma" in err
+    assert not (corpus / "audit_out" / "records.jsonl").exists()
 
 
 # --------------------------------------------------------------- exit codes
