@@ -78,6 +78,13 @@ def _parse_list(text: str, allowed: tuple[str, ...], label: str) -> list[str]:
     return items
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 # The audit settings and the parser of each one's text value.
 _SETTINGS = {
     "methods": lambda text: _parse_list(text, AUDIT_METHODS, "method"),
@@ -88,7 +95,7 @@ _SETTINGS = {
     "sigma_l": int,
     "sigma_w": int,
     "party_swaps": {"true": True, "false": False}.__getitem__,
-    "workers": int,
+    "workers": _positive_int,
 }
 
 
@@ -103,16 +110,20 @@ def _parse_settings(entries) -> dict:
                 "party_swaps": False, "workers": None}
     sigmas = {}
     for where, key, text in entries:
-        if key not in _SETTINGS:
-            raise InputError(f"{where}unknown key {key!r}; "
-                             f"expected one of {', '.join(_SETTINGS)}")
-        try:
-            value = _SETTINGS[key](text)
-        except (KeyError, ValueError):
-            raise InputError(f"{where}cannot read {key}={text!r}") from None
+        value = _read_setting(where, key, text)
         (sigmas if key.startswith("sigma") else settings)[key] = value
     settings["params"] = SearchParams(**sigmas)
     return settings
+
+
+def _read_setting(where: str, key: str, text: str):
+    if key not in _SETTINGS:
+        raise InputError(f"{where}unknown key {key!r}; "
+                         f"expected one of {', '.join(_SETTINGS)}")
+    try:
+        return _SETTINGS[key](text)
+    except (KeyError, ValueError):
+        raise InputError(f"{where}cannot read {key}={text!r}") from None
 
 
 def _parse_sv(text: str) -> ScoringVector:
@@ -279,7 +290,13 @@ def cmd_batch(args) -> int:
     corpus = Path(args.dir)
     if not corpus.is_dir():
         raise InputError(f"not a directory: {corpus}")
-    settings = _parse_settings(_config_entries(args.config) if args.config else ())
+    entries = list(_config_entries(args.config)) if args.config else []
+    if args.workers is not None:
+        entries.append(("", "workers", args.workers))
+    settings = _parse_settings(entries)
+    workers = settings["workers"] or _read_setting(
+        "RCV_AUDIT_WORKERS: ", "workers", os.environ.get("RCV_AUDIT_WORKERS", "1")
+    )
     out_dir = Path(args.out) if args.out else corpus / "audit_out"
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.jsonl"
@@ -315,9 +332,6 @@ def cmd_batch(args) -> int:
                 p.unlink()
 
     pending = [p for eid, p in sorted(by_id.items()) if eid not in done]
-    workers = args.workers or settings["workers"] or int(
-        os.environ.get("RCV_AUDIT_WORKERS", "1")
-    )
     tasks = [(str(p), settings) for p in pending]
     # errors.txt starts afresh: every election that errored before is retried.
     with records_path.open("a") as rec_f, done_path.open("a") as done_f, \
@@ -549,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", help="output directory (default DIR/audit_out)")
-    p.add_argument("--workers", type=int, help="worker processes "
+    p.add_argument("--workers", help="worker processes, at least 1 "
                    "(default config, then RCV_AUDIT_WORKERS, then 1)")
     p.add_argument("--resume", action="store_true",
                    help="skip elections already in done.txt")

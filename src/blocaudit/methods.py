@@ -14,6 +14,7 @@ order and does not taint the outcome; it stays visible in the log either way.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -168,6 +169,18 @@ def scottish_stv(election: Election) -> TabulationResult:
     and receive no further transfers; a distributed winner retains exactly the
     quota. Rounds snapshot totals before that round's action, matching the
     published votes-by-round layout.
+
+    The count adds integers. Every total and the exhausted weight is an
+    integer over one common denominator den, which starts at 1. A surplus
+    transfer reduces surplus/total to p/q and multiplies den and every
+    current amount by q. A pile is a list of groups (value, created,
+    parcels): each parcel (ranking, position of the holder in it, ballot
+    count) is worth value/created per ballot, created being den when the
+    group was made. A transfer sends each group's parcels on as integer
+    counts and adds one product per (group, target), so totals are compared
+    with the quota as total >= quota * den. Values become rationals only to
+    fill each Round, so the log holds exactly the totals and exhausted
+    weight of the same count done per parcel in rationals.
     """
     profile = election.profile
     k = election.k
@@ -175,21 +188,27 @@ def scottish_stv(election: Election) -> TabulationResult:
 
     ids = [c.id for c in profile.candidates]
     status = {cid: HOPEFUL for cid in ids}
-    # parcels: (ranking, position of holder in ranking, ballot count, per-ballot value)
-    piles: dict[int, list[tuple[tuple[int, ...], int, int, object]]] = {
+    firsts: dict[int, list[tuple[tuple[int, ...], int, int]]] = {
         cid: [] for cid in ids
     }
-    totals = {cid: ZERO for cid in ids}
+    totals = [0] * len(ids)
     for bt in profile.ballots:
         first = bt.ranking[0]
-        piles[first].append((bt.ranking, 0, bt.multiplicity, ONE))
+        firsts[first].append((bt.ranking, 0, bt.multiplicity))
         totals[first] += bt.multiplicity
+    piles = {cid: [(1, 1, parcels)] for cid, parcels in firsts.items()}
+    den = 1
+    exhausted = 0
 
-    exhausted = ZERO
     elected: list[int] = []
     pending_surplus: list[int] = []
     rounds: list[Round] = []
     tie_events: list[TieEvent] = []
+    # totals[c] / den and exhausted / den as rationals, rebuilt when changed
+    exact = [ZERO] * len(ids)
+    exact_exhausted = ZERO
+    changed = set(ids)
+    spilled = False  # exhausted changed since the last round
 
     def next_usable(ranking: tuple[int, ...], pos: int) -> int | None:
         for idx in range(pos + 1, len(ranking)):
@@ -197,29 +216,56 @@ def scottish_stv(election: Election) -> TabulationResult:
                 return idx
         return None
 
-    def move_pile(cid: int, ratio) -> None:
-        nonlocal exhausted
-        for ranking, pos, count, value in piles[cid]:
-            portion = value * ratio
-            if portion == 0:
-                continue
-            idx = next_usable(ranking, pos)
-            if idx is None:
-                exhausted += count * portion
-            else:
-                target = ranking[idx]
-                piles[target].append((ranking, idx, count, portion))
-                totals[target] += count * portion
+    def move_pile(cid: int, p: int, q: int) -> None:
+        """Send cid's pile on at p/q of its value, after den grows by q."""
+        nonlocal den, exhausted, spilled
+        if q != 1:
+            for c in ids:
+                totals[c] *= q
+            exhausted *= q
+        before = den
+        den *= q
+        for value, created, parcels in piles[cid]:
+            unit = value * p * (before // created)  # per ballot, over den
+            moved: dict[int, list] = {}  # target -> [ballot count, parcels]
+            lost = 0
+            for ranking, pos, count in parcels:
+                idx = next_usable(ranking, pos)
+                if idx is None:
+                    lost += count
+                else:
+                    target = ranking[idx]
+                    entry = moved.get(target)
+                    if entry is None:
+                        moved[target] = entry = [0, []]
+                    entry[0] += count
+                    entry[1].append((ranking, idx, count))
+            if lost:
+                exhausted += lost * unit
+                spilled = True
+            for target, (count, sent) in moved.items():
+                totals[target] += count * unit
+                piles[target].append((unit, den, sent))
+                changed.add(target)
         piles[cid] = []
+        changed.add(cid)
 
     number = 0
     while True:
         number += 1
-        rnd = Round(number, dict(totals), quota, exhausted)
+        for c in changed:
+            exact[c] = rational(totals[c], den)
+        changed.clear()
+        if spilled:
+            exact_exhausted = rational(exhausted, den)
+            spilled = False
+        rnd = Round(number, dict(zip(ids, exact)), quota, exact_exhausted)
         rounds.append(rnd)
 
+        quota_scaled = quota * den
         pending_surplus += _elect_crossers(
-            lambda c: totals[c] >= quota, totals, status, elected, k, rnd, tie_events
+            lambda c: totals[c] >= quota_scaled,
+            totals, status, elected, k, rnd, tie_events,
         )
         if len(elected) == k:
             break
@@ -233,23 +279,24 @@ def scottish_stv(election: Election) -> TabulationResult:
             break
 
         if pending_surplus:
-            pending_surplus.sort(key=lambda c: (-(totals[c] - quota), c))
-            top_surplus = totals[pending_surplus[0]] - quota
-            tied = [c for c in pending_surplus if totals[c] - quota == top_surplus]
+            pending_surplus.sort(key=lambda c: (-totals[c], c))
+            top = totals[pending_surplus[0]]
+            tied = [c for c in pending_surplus if totals[c] == top]
             if len(tied) > 1:
                 tie_events.append(
                     TieEvent(number, "surplus_order", tuple(tied), (tied[0],))
                 )
             c = pending_surplus.pop(0)
-            surplus = totals[c] - quota
+            surplus = totals[c] - quota_scaled
             if surplus > 0:
-                move_pile(c, surplus / totals[c])
-                totals[c] = rational(quota)
+                g = math.gcd(surplus, totals[c])
+                move_pile(c, surplus // g, totals[c] // g)
+                totals[c] = quota * den
             rnd.events.append(RoundEvent("surplus", c))
         else:
             c = _eliminate_lowest(totals, status, rnd, tie_events)
-            move_pile(c, ONE)
-            totals[c] = ZERO
+            move_pile(c, 1, 1)
+            totals[c] = 0
 
     members = frozenset(elected)
     winners = WinnerSet(members, _fate_tie_flag(tie_events, members))
@@ -417,22 +464,26 @@ def ear(election: Election) -> TabulationResult:
 
     The count is exact and adds integers. A weight class is the sequence of
     rescalings some ballot types have received; a type weighs its
-    multiplicity times its class's rational factor (ONE before any
-    rescaling). counts[c][cid] sums the multiplicities of class-c types
-    ranking cid within their top j, so raising the threshold adds one
-    position per type and an election moves its supporters' counts into
-    one new class per source class. Supports are formed as sum(factor *
-    count), so each Round holds exactly the rationals of a per-ballot count.
+    multiplicity times its class's factor, a reduced integer fraction
+    (1/1 before any rescaling). counts[c][cid] sums the multiplicities of
+    class-c types ranking cid within their top j, so raising the threshold
+    adds one position per type and an election moves its supporters' counts
+    into one new class per source class. Each support is an integer
+    numerator over den, the lcm of the live classes' factor denominators,
+    so a contender is one with support * (k + 1) >= V * den. Supports
+    become rationals only when a Round is appended, so each Round holds
+    exactly the rationals of a per-ballot count.
     """
     profile = election.profile
     k = election.k
     m = profile.m
-    quota = exact_droop_quota(profile.total_ballots, k)
+    total = profile.total_ballots
+    quota = exact_droop_quota(total, k)
 
     ids = [c.id for c in profile.candidates]
     rankings = [bt.ranking for bt in profile.ballots]
     mults = [bt.multiplicity for bt in profile.ballots]
-    factors = [ONE]
+    factors = [(1, 1)]  # (numerator, denominator) of each class's factor
     cls = [0] * len(rankings)
     counts = [[0] * m]
     for ranking, n in zip(rankings, mults):
@@ -444,15 +495,18 @@ def ear(election: Election) -> TabulationResult:
 
     j = 1
     while len(elected) < k:
-        support = {cid: ZERO for cid in ids}
-        for factor, row in zip(factors, counts):
-            if factor:
-                for cid, n in enumerate(row):
-                    if n:
-                        support[cid] += factor * n
+        live = [(num, d, row) for (num, d), row in zip(factors, counts) if num]
+        den = math.lcm(*(d for _, d, _ in live))
+        support = [0] * m
+        for num, d, row in live:
+            weight = num * (den // d)
+            for cid, n in enumerate(row):
+                if n:
+                    support[cid] += weight * n
         if j <= m:
             contenders = [
-                c for c in ids if c not in elected and support[c] >= quota
+                c for c in ids
+                if c not in elected and support[c] * (k + 1) >= total * den
             ]
             if not contenders:
                 for t, ranking in enumerate(rankings):
@@ -468,14 +522,16 @@ def ear(election: Election) -> TabulationResult:
                     "greatest support with supporter weights zeroed"
                 )
             contenders = [c for c in ids if c not in elected]
-        best_value = max(support[c] for c in contenders)
-        tied = sorted(c for c in contenders if support[c] == best_value)
+        best = max(support[c] for c in contenders)
+        tied = sorted(c for c in contenders if support[c] == best)
         if len(tied) > 1:
             tie_events.append(
                 TieEvent(len(rounds) + 1, "election", tuple(tied), (tied[0],))
             )
         chosen = tied[0]
-        scale = (best_value - quota) / best_value if j <= m else ZERO
+        # (best - quota) / best over den, as (numerator, denominator)
+        over = best * (k + 1)
+        scale = (over - total * den, over) if j <= m else (0, 1)
         moved: dict[int, int] = {}  # source class -> its rescaled class
         for t, ranking in enumerate(rankings):
             top = ranking[:j]
@@ -483,7 +539,10 @@ def ear(election: Election) -> TabulationResult:
                 src = cls[t]
                 if src not in moved:
                     moved[src] = len(factors)
-                    factors.append(factors[src] * scale)
+                    num = factors[src][0] * scale[0]
+                    d = factors[src][1] * scale[1]
+                    g = math.gcd(num, d)
+                    factors.append((num // g, d // g))
                     counts.append([0] * m)
                 cls[t] = dst = moved[src]
                 for cid in top:
@@ -492,7 +551,7 @@ def ear(election: Election) -> TabulationResult:
         rounds.append(
             Round(
                 len(rounds) + 1,
-                support,
+                {cid: rational(support[cid], den) for cid in ids},
                 quota,
                 ZERO,
                 events=[RoundEvent("elected", chosen)],

@@ -12,6 +12,7 @@ canonical order of a specific source profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -90,8 +91,10 @@ class PreferenceProfile:
     def m(self) -> int:
         return len(self.candidates)
 
-    @property
+    @cached_property
     def total_ballots(self) -> int:
+        # Cached in the instance's __dict__, outside the dataclass fields,
+        # so it takes no part in ==, hash or repr.
         return sum(bt.multiplicity for bt in self.ballots)
 
     @classmethod
@@ -227,16 +230,19 @@ def remove_ballots(
     """The profile with the selected ballots taken out.
 
     Ballot types that reach zero are dropped; the candidate roster is kept
-    unchanged even if a candidate ends with no remaining support.
+    unchanged even if a candidate ends with no remaining support. Untouched
+    ballot types are the source profile's own (immutable) objects, shared
+    rather than copied; only the reduced types are built anew.
     """
     _validate_removal(profile, selection)
-    counts = dict(selection.entries)
-    remaining = []
-    for i, bt in enumerate(profile.ballots):
-        left = bt.multiplicity - counts.get(i, 0)
-        if left > 0:
-            remaining.append(BallotType(bt.ranking, left))
-    return PreferenceProfile(profile.candidates, tuple(remaining))
+    remaining: list[BallotType | None] = list(profile.ballots)
+    for i, count in selection.entries:
+        bt = profile.ballots[i]
+        left = bt.multiplicity - count
+        remaining[i] = BallotType(bt.ranking, left) if left else None
+    return PreferenceProfile(
+        profile.candidates, tuple(bt for bt in remaining if bt is not None)
+    )
 
 
 def selection_ranked_union(

@@ -437,6 +437,46 @@ def test_batch_rejects_bad_config(tmp_path, corpus, capsys):
     assert not (corpus / "audit_out" / "records.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, config, env",
+    [
+        (None, None, "x"),
+        (None, None, "0"),
+        ("-3", None, None),
+        ("0", None, None),
+        ("two", None, None),
+        (None, "workers=0\n", None),
+        (None, "workers=-1\n", "2"),
+    ],
+)
+def test_batch_rejects_bad_worker_counts(
+    tmp_path, corpus, capsys, monkeypatch, flag, config, env
+):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(CFG)
+    out_dir = tmp_path / "out"
+    code, _, _ = run(
+        capsys, "batch", str(corpus), "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    argv = ["batch", str(corpus), "--out", str(out_dir)]
+    if flag is not None:
+        argv += ["--workers", flag]
+    if config is not None:
+        cfg.write_text(CFG + config)
+        argv += ["--config", str(cfg)]
+    if env is None:
+        monkeypatch.delenv("RCV_AUDIT_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("RCV_AUDIT_WORKERS", env)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "workers" in err
+    # checked before any output of the previous run is unlinked
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
 # --------------------------------------------------------------- exit codes
 
 

@@ -26,6 +26,7 @@ from blocaudit import (
     plurality_vector,
     positional_scores,
     remove_ballots,
+    scottish_stv,
     selection_from_rankings,
     tabulate,
 )
@@ -34,6 +35,7 @@ from cc_reference import reference_cc
 from conftest import assert_rounds_match, random_profile, round1
 from ear_reference import reference_ear
 from meek_reference import reference_meek_stv
+from scottish_reference import reference_scottish_stv
 
 # ------------------------------------------------------------ real wards
 
@@ -464,22 +466,72 @@ def seeded_ward(seed, m=8, k=3, voters=200, stop=0.3):
     return make_election([f"c{i}" for i in range(m)], sorted(counts.items()), k)
 
 
-def test_ear_round_logs_match_rational_reference_on_loser_removals():
-    # the probes an ILVB search makes: loser-only pools, graded fractions
-    election = seeded_ward(2024)
+def loser_removals(election, winners):
+    """The elections an ILVB search probes: loser-only pools, graded fractions."""
     profile = election.profile
-    winners = ear(election).winners.members
     losers = frozenset(range(profile.m)) - winners
-    probes = 0
     for b in sorted(losers):
         pool = ballots_ranking_only(profile, losers - {b})
         for i in (1, 4, 7, 10):
             part = fraction_of(pool, i, 10)
-            if not part or part.total >= profile.total_ballots:
-                continue
-            reduced = Election(remove_ballots(profile, part), election.k)
-            assert_same_count(ear(reduced), reference_ear(reduced))
-            probes += 1
+            if part and part.total < profile.total_ballots:
+                yield Election(remove_ballots(profile, part), election.k)
+
+
+def test_ear_round_logs_match_rational_reference_on_loser_removals():
+    election = seeded_ward(2024)
+    probes = 0
+    for reduced in loser_removals(election, ear(election).winners.members):
+        assert_same_count(ear(reduced), reference_ear(reduced))
+        probes += 1
+    assert probes >= 10
+
+
+# ------------------------------------- Scottish STV against its reference
+
+
+def test_scottish_round_logs_match_rational_reference_on_wards(
+    east_ayrshire, north_ayrshire
+):
+    for election in (east_ayrshire, north_ayrshire):
+        assert_same_count(scottish_stv(election), reference_scottish_stv(election))
+
+
+def test_scottish_round_logs_match_rational_reference_on_randoms():
+    transfers = 0
+    for seed in (90125, 4821):
+        rng = random.Random(seed)
+        for _ in range(60):
+            election = random_profile(rng, m_max=7, v_max=60, k_max=4)
+            want = reference_scottish_stv(election)
+            assert_same_count(scottish_stv(election), want)
+            transfers += sum(
+                rnd.exhausted > 0 and any(e.kind == "surplus" for e in rnd.events)
+                for rnd in want.log.rounds
+            )
+    # surplus transfers made after some weight had exhausted are exercised
+    assert transfers
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "family", [f for f in FAMILIES if f.startswith("STV_")]
+)
+def test_scottish_round_logs_match_rational_reference_on_worst_cases(family, k):
+    case = generate(GeneratorSpec(family, k))
+    reduced = Election(
+        remove_ballots(case.election.profile, case.removal), case.election.k
+    )
+    for election in (case.election, reduced):
+        assert_same_count(scottish_stv(election), reference_scottish_stv(election))
+
+
+def test_scottish_round_logs_match_rational_reference_on_loser_removals():
+    election = seeded_ward(2024)
+    probes = 0
+    for reduced in loser_removals(election, scottish_stv(election).winners.members):
+        assert_same_count(scottish_stv(reduced), reference_scottish_stv(reduced))
+        probes += 1
     assert probes >= 10
 
 
@@ -713,3 +765,9 @@ def test_meek_round_logs_match_rational_reference(election, tolerance):
 @given(st.one_of(elections(), tied_elections()))
 def test_ear_round_logs_match_rational_reference(election):
     assert_same_count(ear(election), reference_ear(election))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(elections(), tied_elections()))
+def test_scottish_round_logs_match_rational_reference(election):
+    assert_same_count(scottish_stv(election), reference_scottish_stv(election))

@@ -126,6 +126,47 @@ def test_remove_all_ballots_rejected():
         remove_ballots(profile, everything)
 
 
+def test_remove_ballots_shares_untouched_types():
+    profile = small_profile()
+    assert profile.total_ballots == 12
+    reduced = remove_ballots(profile, BallotSelection(((1, 1),)))
+    assert reduced.ballots[0] is profile.ballots[0]
+    assert reduced.ballots[2] is profile.ballots[2]
+    assert reduced.ballots[1] == BallotType((1,), 2)
+    assert reduced.total_ballots == 11
+    # a type taken out whole is dropped; the rest are still shared
+    again = remove_ballots(reduced, BallotSelection(((0, 4), (1, 1))))
+    assert again.ballots == (BallotType((1,), 1), profile.ballots[2])
+    assert again.ballots[1] is profile.ballots[2]
+    assert again.total_ballots == 6
+
+
+def test_remove_ballots_error_messages():
+    profile = small_profile()
+    cases = [
+        (((5, 1),), "selection references ballot type 5, profile has 3"),
+        (((0, 5),), "selection takes 5 ballots of type 0, only 4 exist"),
+        (((0, 4), (1, 3), (2, 5)), "removing this selection would empty the profile"),
+    ]
+    for entries, message in cases:
+        with pytest.raises(InputError) as excinfo:
+            remove_ballots(profile, BallotSelection(entries))
+        assert str(excinfo.value) == message
+
+
+def test_profile_equality_ignores_cached_total():
+    read, unread = small_profile(), small_profile()
+    assert read.total_ballots == 12
+    assert read == unread
+    assert hash(read) == hash(unread)
+    assert repr(read) == repr(unread)
+    direct = make_election(["a", "b", "c"], [((0, 1), 4), ((2, 0), 5)], 2).profile
+    reduced = remove_ballots(read, BallotSelection(((1, 3),)))
+    assert reduced.total_ballots == 9
+    assert reduced == direct
+    assert hash(reduced) == hash(direct)
+
+
 def test_make_election_parties_and_title():
     election = make_election(
         ["x", "y", "z"],
