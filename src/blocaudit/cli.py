@@ -17,7 +17,8 @@ batch from its config file, and both validate them before any election runs.
 Exit codes: 0 success, 1 a batch record that failed its spot check (the
 reports are still written), 2 input problems (unreadable or malformed files,
 bad parameters), 3 computation refusals (non-convergence, enumeration guards,
-oracle budgets).
+oracle budgets; one rule's refusal drops only that rule's records, and batch
+names the rule in errors.txt and retries the election on --resume).
 """
 
 from __future__ import annotations
@@ -212,14 +213,20 @@ def _audit_one(election: Election, methods, criteria, params, party_swaps):
     return records, tied_methods
 
 
-def _audit_file(path: Path, settings: dict) -> tuple[list[dict], list[str]]:
-    """The records of one election file, as JSON dicts, and its tied rules."""
+def _audit_file(path: Path, settings: dict):
+    """One election file's records (JSON dicts), tied rules and rule error lines."""
     election = load_election(path)
-    records, tied = _audit_one(
-        election, settings["methods"], settings["criteria"],
-        settings["params"], settings["party_swaps"],
-    )
-    return [record_to_json(rec, election.profile, path.stem) for rec in records], tied
+    searches = settings["criteria"], settings["params"], settings["party_swaps"]
+    records, tied, errors = [], [], []
+    for method in settings["methods"]:
+        try:
+            found, tied_here = _audit_one(election, [method], *searches)
+        except ComputationError as exc:
+            errors.append(f"{path.stem} {method}: {type(exc).__name__}: {exc}")
+            continue
+        records += [record_to_json(rec, election.profile, path.stem) for rec in found]
+        tied += tied_here
+    return records, tied, errors
 
 
 def cmd_audit(args) -> int:
@@ -227,7 +234,7 @@ def cmd_audit(args) -> int:
         ("", key, text) for key, text in vars(args).items()
         if key in _SETTINGS and text is not None
     )
-    records, tied = _audit_file(Path(args.path), settings)
+    records, tied, errors = _audit_file(Path(args.path), settings)
     lines = [json.dumps(record) for record in records]
     if args.out:
         Path(args.out).write_text("".join(line + "\n" for line in lines))
@@ -240,7 +247,9 @@ def cmd_audit(args) -> int:
     print(f"total records: {len(records)}", file=sys.stderr)
     for method in tied:
         print(f"note: base tabulation tied under {method}", file=sys.stderr)
-    return 0
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    return 3 if errors else 0
 
 
 # ------------------------------------------------------------------- batch
@@ -263,11 +272,11 @@ def _batch_worker(task):
     """Audit one election file; returns plain data for cross-process transport."""
     path_str, settings = task
     path = Path(path_str)
-    out = {"election_id": path.stem, "records": [], "tied": [], "error": None}
+    out = {"election_id": path.stem, "records": [], "tied": [], "errors": []}
     try:
-        out["records"], out["tied"] = _audit_file(path, settings)
-    except (InputError, OSError, ComputationError) as exc:
-        out["error"] = f"{type(exc).__name__}: {exc}"
+        out["records"], out["tied"], out["errors"] = _audit_file(path, settings)
+    except (InputError, OSError) as exc:
+        out["errors"] = [f"{path.stem}: {type(exc).__name__}: {exc}"]
     return out
 
 
@@ -346,7 +355,7 @@ def cmd_batch(args) -> int:
         else:
             for task in tasks:
                 _absorb_batch_result(_batch_worker(task), rec_f, done_f, err_f, tied_f)
-    errored = errors_path.read_text().count("\n")
+    errored = len(dup_errors) + len(by_id.keys() - set(done_path.read_text().split()))
 
     # A retried election's lines were appended after the rest; put them back
     # in election order, where a clean run writes them.
@@ -382,9 +391,9 @@ def _absorb_batch_result(result, rec_f, done_f, err_f, tied_f):
         rec_f.write(json.dumps(record) + "\n")
     for method in result["tied"]:
         tied_f.write(f"{eid} {method}\n")
-    if result["error"]:
-        err_f.write(f"{eid}: {result['error']}\n")
-    else:
+    for line in result["errors"]:
+        err_f.write(line + "\n")
+    if not result["errors"]:
         done_f.write(eid + "\n")
     for f in (rec_f, done_f, err_f, tied_f):
         f.flush()

@@ -288,6 +288,10 @@ class Criterion(NamedTuple):
     pools: Callable[[ProbeSession, int | None, int], list[frozenset[int]]]
     sigma: str
 
+    def displaced(self, winners, ranked, after) -> frozenset[int]:
+        """The unranked winners who lost their seat, if the criterion displaces."""
+        return (winners - ranked) - after if self.displaces else frozenset()
+
 
 CRITERION_TABLE = {
     # The winner set changes at all.
@@ -330,7 +334,7 @@ def _check(
     after = _run(method, _without(election, selection)).winners
     if not spec.hit(before.members, ranked, after.members):
         return None
-    displaced = (before.members - ranked) - after.members if spec.displaces else ()
+    displaced = spec.displaced(before.members, ranked, after.members)
     return ViolationRecord(
         criterion,
         tag,
@@ -490,9 +494,7 @@ def _search(
                         continue
                     if session.before.tie_flag or after.tie_flag:
                         continue
-                    displaced = (
-                        (winners - ranked) - after.members if spec.displaces else ()
-                    )
+                    displaced = spec.displaced(winners, ranked, after.members)
                     if party_swaps or a in displaced:
                         named = a
                     else:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     EnumerationGuardError,
@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
 )
 from .profiles import BallotType, Election, PreferenceProfile
-from .rationals import ONE, ZERO, decimal_string, rational
+from .rationals import ONE, ZERO, RationalsOver, decimal_string, rational
 
 HOPEFUL = "hopeful"
 ELECTED = "elected"
@@ -64,12 +64,12 @@ class RoundEvent:
 @dataclass
 class Round:
     number: int
-    totals: dict[int, object]
+    totals: Mapping[int, object]
     quota: object | None
     exhausted: object
     events: list[RoundEvent] = field(default_factory=list)
     threshold: int | None = None  # EAR rank threshold in force
-    keep_factors: dict[int, object] | None = None  # Meek snapshot
+    keep_factors: Mapping[int, object] | None = None  # Meek snapshot
 
 
 @dataclass
@@ -139,6 +139,18 @@ def _elect_crossers(
     return crossers
 
 
+def _elect_remaining(status, elected: list[int], k: int, rnd: Round) -> bool:
+    """If the hopefuls exactly fill the open seats, elect them, lowest id first."""
+    hopefuls = sorted(c for c in status if status[c] == HOPEFUL)
+    if len(hopefuls) != k - len(elected):
+        return False
+    for c in hopefuls:
+        status[c] = ELECTED
+        elected.append(c)
+        rnd.events.append(RoundEvent("elected", c))
+    return True
+
+
 def _eliminate_lowest(totals, status, rnd: Round, tie_events: list[TieEvent]) -> int:
     """Eliminate the hopeful with the lowest total and return them.
 
@@ -178,9 +190,7 @@ def scottish_stv(election: Election) -> TabulationResult:
     count) is worth value/created per ballot, created being den when the
     group was made. A transfer sends each group's parcels on as integer
     counts and adds one product per (group, target), so totals are compared
-    with the quota as total >= quota * den. Values become rationals only to
-    fill each Round, so the log holds exactly the totals and exhausted
-    weight of the same count done per parcel in rationals.
+    with the quota as total >= quota * den.
     """
     profile = election.profile
     k = election.k
@@ -204,11 +214,6 @@ def scottish_stv(election: Election) -> TabulationResult:
     pending_surplus: list[int] = []
     rounds: list[Round] = []
     tie_events: list[TieEvent] = []
-    # totals[c] / den and exhausted / den as rationals, rebuilt when changed
-    exact = [ZERO] * len(ids)
-    exact_exhausted = ZERO
-    changed = set(ids)
-    spilled = False  # exhausted changed since the last round
 
     def next_usable(ranking: tuple[int, ...], pos: int) -> int | None:
         for idx in range(pos + 1, len(ranking)):
@@ -218,7 +223,7 @@ def scottish_stv(election: Election) -> TabulationResult:
 
     def move_pile(cid: int, p: int, q: int) -> None:
         """Send cid's pile on at p/q of its value, after den grows by q."""
-        nonlocal den, exhausted, spilled
+        nonlocal den, exhausted
         if q != 1:
             for c in ids:
                 totals[c] *= q
@@ -240,26 +245,16 @@ def scottish_stv(election: Election) -> TabulationResult:
                         moved[target] = entry = [0, []]
                     entry[0] += count
                     entry[1].append((ranking, idx, count))
-            if lost:
-                exhausted += lost * unit
-                spilled = True
+            exhausted += lost * unit
             for target, (count, sent) in moved.items():
                 totals[target] += count * unit
                 piles[target].append((unit, den, sent))
-                changed.add(target)
         piles[cid] = []
-        changed.add(cid)
 
-    number = 0
     while True:
-        number += 1
-        for c in changed:
-            exact[c] = rational(totals[c], den)
-        changed.clear()
-        if spilled:
-            exact_exhausted = rational(exhausted, den)
-            spilled = False
-        rnd = Round(number, dict(zip(ids, exact)), quota, exact_exhausted)
+        rnd = Round(
+            len(rounds) + 1, RationalsOver(totals, den), quota, rational(exhausted, den)
+        )
         rounds.append(rnd)
 
         quota_scaled = quota * den
@@ -267,15 +262,7 @@ def scottish_stv(election: Election) -> TabulationResult:
             lambda c: totals[c] >= quota_scaled,
             totals, status, elected, k, rnd, tie_events,
         )
-        if len(elected) == k:
-            break
-
-        hopefuls = [c for c in ids if status[c] == HOPEFUL]
-        if len(hopefuls) == k - len(elected):
-            for c in sorted(hopefuls):
-                status[c] = ELECTED
-                elected.append(c)
-                rnd.events.append(RoundEvent("elected", c))
+        if len(elected) == k or _elect_remaining(status, elected, k, rnd):
             break
 
         if pending_surplus:
@@ -284,7 +271,7 @@ def scottish_stv(election: Election) -> TabulationResult:
             tied = [c for c in pending_surplus if totals[c] == top]
             if len(tied) > 1:
                 tie_events.append(
-                    TieEvent(number, "surplus_order", tuple(tied), (tied[0],))
+                    TieEvent(rnd.number, "surplus_order", tuple(tied), (tied[0],))
                 )
             c = pending_surplus.pop(0)
             surplus = totals[c] - quota_scaled
@@ -333,9 +320,7 @@ def meek_stv(
     division is exact: each earlier position with 0 < K < D multiplied w by
     (D-K)/D, so before the j-th such position (j = 0, 1, ..., at most L-1)
     w is still a multiple of D**(L-j) and D divides w*K. A position with
-    K = D takes all of w. Values become rationals only to fill each Round,
-    so the log holds exactly the totals, quotas, exhausted weight and keep
-    factors of the same count done in rationals.
+    K = D takes all of w.
     """
     profile = election.profile
     k = election.k
@@ -354,7 +339,6 @@ def meek_stv(
     ids = [c.id for c in profile.candidates]
     status = {cid: HOPEFUL for cid in ids}
     keep = [D] * len(ids)
-    keep_exact = [ONE] * len(ids)  # keep[c] / D, rebuilt only when keep[c] moves
     ballots = [(bt.ranking, bt.multiplicity * scale) for bt in profile.ballots]
 
     def distribute() -> tuple[list[int], int]:
@@ -374,71 +358,47 @@ def meek_stv(
             exhausted += w
         return totals, exhausted
 
-    def exact(value: int):
-        return rational(value, scale) if value else ZERO
-
-    def snapshot(totals: list[int], exhausted: int) -> Round:
-        return Round(
-            len(rounds) + 1,
-            {cid: exact(totals[cid]) for cid in ids},
-            rational(full - exhausted, quota_den),
-            exact(exhausted),
-            keep_factors=dict(zip(ids, keep_exact)),
-        )
-
     elected: list[int] = []
     rounds: list[Round] = []
     tie_events: list[TieEvent] = []
-    iteration = 0
     initial_quota = exact_droop_quota(total, k)
 
     while len(elected) < k:
-        hopefuls = [c for c in ids if status[c] == HOPEFUL]
-        open_seats = k - len(elected)
-        if len(hopefuls) == open_seats:
-            totals, exhausted = distribute()
-            rnd = snapshot(totals, exhausted)
-            for c in sorted(hopefuls):
-                status[c] = ELECTED
-                elected.append(c)
-                rnd.events.append(RoundEvent("elected", c))
-            rounds.append(rnd)
+        totals, exhausted = distribute()
+        quota_num = full - exhausted
+        rnd = Round(
+            len(rounds) + 1,
+            RationalsOver(totals, scale),
+            rational(quota_num, quota_den),
+            rational(exhausted, scale),
+            keep_factors=RationalsOver(keep, D),
+        )
+        rounds.append(rnd)
+        if _elect_remaining(status, elected, k, rnd):
             break
 
-        # Converge keep factors, electing crossers as they appear.
-        while True:
-            iteration += 1
-            if iteration > max_iterations:
-                raise MeekNonConvergenceError(max_iterations)
-            totals, exhausted = distribute()
-            quota_num = full - exhausted
-            rnd = snapshot(totals, exhausted)
-            rounds.append(rnd)
+        # only a round that fills the seats outright is not an iteration
+        if len(rounds) > max_iterations:
+            raise MeekNonConvergenceError(max_iterations)
+        crossers = _elect_crossers(
+            lambda c: totals[c] * (k + 1) >= quota_num,
+            totals, status, elected, k, rnd, tie_events,
+        )
+        if len(elected) == k:
+            break
 
-            crossers = _elect_crossers(
-                lambda c: totals[c] * (k + 1) >= quota_num,
-                totals, status, elected, k, rnd, tie_events,
-            )
-            if len(elected) == k:
-                break
+        converged = not crossers and all(
+            abs(totals[c] * (k + 1) - quota_num) <= tolerance_scaled
+            for c in elected
+        )
+        if converged:
+            keep[_eliminate_lowest(totals, status, rnd, tie_events)] = 0
+            continue
 
-            converged = not crossers and all(
-                abs(totals[c] * (k + 1) - quota_num) <= tolerance_scaled
-                for c in elected
-            )
-            if converged:
-                out = _eliminate_lowest(totals, status, rnd, tie_events)
-                keep[out] = 0
-                keep_exact[out] = ZERO
-                break
-
-            for c in elected:
-                if totals[c] > 0:
-                    # floor(D * keep*quota/votes), capped at 1
-                    scaled = min(keep[c] * quota_num // ((k + 1) * totals[c]), D)
-                    if scaled != keep[c]:
-                        keep[c] = scaled
-                        keep_exact[c] = ONE if scaled == D else rational(scaled, D)
+        for c in elected:
+            if totals[c] > 0:
+                # floor(D * keep*quota/votes), capped at 1
+                keep[c] = min(keep[c] * quota_num // ((k + 1) * totals[c]), D)
 
     members = frozenset(elected)
     winners = WinnerSet(members, _fate_tie_flag(tie_events, members))
@@ -470,9 +430,7 @@ def ear(election: Election) -> TabulationResult:
     adds one position per type and an election moves its supporters' counts
     into one new class per source class. Each support is an integer
     numerator over den, the lcm of the live classes' factor denominators,
-    so a contender is one with support * (k + 1) >= V * den. Supports
-    become rationals only when a Round is appended, so each Round holds
-    exactly the rationals of a per-ballot count.
+    so a contender is one with support * (k + 1) >= V * den.
     """
     profile = election.profile
     k = election.k
@@ -551,7 +509,7 @@ def ear(election: Election) -> TabulationResult:
         rounds.append(
             Round(
                 len(rounds) + 1,
-                {cid: rational(support[cid], den) for cid in ids},
+                RationalsOver(support, den),
                 quota,
                 ZERO,
                 events=[RoundEvent("elected", chosen)],
@@ -750,21 +708,19 @@ def tabulate(
     if method == "ear":
         return ear(election)
     if method in CC_MODELS:
-        winners = cc(election, CC_MODELS[method])
-        rnd = Round(1, {}, None, ZERO)
-        rnd.events = [RoundEvent("elected", c) for c in sorted(winners.members)]
-        return TabulationResult(winners, RoundLog(method, None, [rnd], []))
-    if method == "positional":
+        winners, scores = cc(election, CC_MODELS[method]), {}
+    elif method == "positional":
         if sv is None:
             sv = borda_vector(election.profile.m)
         winners = positional_committee(election, sv)
         scores = positional_scores(election.profile, sv)
-        rnd = Round(1, scores, None, ZERO)
-        rnd.events = [RoundEvent("elected", c) for c in sorted(winners.members)]
-        return TabulationResult(winners, RoundLog("positional", None, [rnd], []))
-    raise PreconditionError(
-        f"unknown method {method!r}; expected one of {METHOD_TAGS}"
-    )
+    else:
+        raise PreconditionError(
+            f"unknown method {method!r}; expected one of {METHOD_TAGS}"
+        )
+    rnd = Round(1, scores, None, ZERO)
+    rnd.events = [RoundEvent("elected", c) for c in sorted(winners.members)]
+    return TabulationResult(winners, RoundLog(method, None, [rnd], []))
 
 
 def result_to_json(election: Election, result: TabulationResult) -> dict:

@@ -9,6 +9,7 @@ relies on.
 from __future__ import annotations
 
 import fractions
+from collections.abc import Mapping
 
 try:
     from gmpy2 import mpq as Rational
@@ -26,6 +27,37 @@ ONE = Rational(1)
 def rational(numerator, denominator=1):
     """Build an exact rational from integers."""
     return Rational(numerator, denominator)
+
+
+class RationalsOver(Mapping):
+    """The read-only mapping {i: rational(nums[i], den) for i in range(len(nums))}.
+
+    Scottish STV, Meek and EAR count in integers over one denominator, and a
+    Round's totals (and Meek's keep factors) are this mapping of them: a
+    rational is built only when an entry is read, so a search probe that keeps
+    only the winners builds none. nums is copied so a Round never changes, to
+    a list, since freed short tuples linger on CPython's tuple free list.
+    """
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums, den):
+        self._nums = list(nums)
+        self._den = den
+
+    def __getitem__(self, i):
+        if isinstance(i, int) and 0 <= i < len(self._nums):
+            return rational(self._nums[i], self._den)
+        raise KeyError(i)
+
+    def __iter__(self):
+        return iter(range(len(self._nums)))
+
+    def __len__(self):
+        return len(self._nums)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self)!r})"
 
 
 def floor_rational(x) -> int:

@@ -477,6 +477,61 @@ def test_batch_rejects_bad_worker_counts(
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
+# ------------------------------------------------ one rule refusing
+
+
+def write_wide(path, ballots):
+    """A one-seat election with 21 candidates, too many for cc-om."""
+    lines = ["21 1", *ballots, "0", *(f'"c{i}"' for i in range(21)), f'"{path.stem}"']
+    path.write_text("\n".join(lines) + "\n")
+
+
+# an ILVB flip under scottish: removing the two c1 bullets elects c2, not c0
+FLIP = ["7 1 2 3 0", "9 1 3 2 0", "2 2 0", "12 2 3 1 0", "13 3 1 2 0"]
+ENUM_ERROR = "EnumerationGuardError: committee enumeration needs m <= 20"
+
+
+def test_audit_writes_the_rules_that_ran(tmp_path, capsys):
+    big = tmp_path / "big21.blt"
+    write_wide(big, FLIP)
+    code, out, err = run(capsys, "audit", str(big), "-m", "scottish,cc-om")
+    assert code == 3
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert [(doc["method"], doc["criterion"]) for doc in docs] == [
+        ("scottish", "ILVB")
+    ]
+    assert f"error: big21 cc-om: {ENUM_ERROR}" in err
+
+
+def test_batch_isolates_a_refusing_rule(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    write_wide(corpus_dir / "big21.blt", FLIP)
+    write_wide(corpus_dir / "heat21.blt", ["5 1 0", "5 2 0"])  # a dead heat
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("methods=scottish,cc-om\n")
+    out_dir = tmp_path / "out"
+    argv = ["batch", str(corpus_dir), "--config", str(cfg), "--out", str(out_dir)]
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    assert "2 errored" in err
+    records = (out_dir / "records.jsonl").read_text()
+    assert [json.loads(line)["election_id"] for line in records.splitlines()] == [
+        "big21"
+    ]
+    assert (out_dir / "tied.txt").read_text() == "heat21 scottish\n"
+    errors = (out_dir / "errors.txt").read_text().splitlines()
+    assert [line.split(":")[0] for line in errors] == ["big21 cc-om", "heat21 cc-om"]
+    assert all(ENUM_ERROR in line for line in errors)
+    assert (out_dir / "done.txt").read_text() == ""
+    # neither election is done, so a resume retries both and writes no duplicates
+    code, _, err = run(capsys, *argv, "--resume")
+    assert code == 0
+    assert "audited 2 elections (0 skipped as done)" in err
+    assert (out_dir / "records.jsonl").read_text() == records
+    assert (out_dir / "tied.txt").read_text() == "heat21 scottish\n"
+
+
 # --------------------------------------------------------------- exit codes
 
 

@@ -30,6 +30,8 @@ from blocaudit import (
     selection_from_rankings,
     tabulate,
 )
+import blocaudit.methods as methods
+import blocaudit.rationals as rationals
 from blocaudit.rationals import ONE, ZERO, rational
 from cc_reference import reference_cc
 from conftest import assert_rounds_match, random_profile, round1
@@ -347,6 +349,28 @@ def test_meek_iteration_cap_counts_the_whole_count(north_ayrshire):
         meek_stv(north_ayrshire, max_iterations=NA_MEEK_ITERATIONS - 1)
     with pytest.raises(MeekNonConvergenceError):
         tabulate(north_ayrshire, "meek", max_iterations=NA_MEEK_ITERATIONS - 1)
+
+
+def test_meek_log_builds_totals_and_keep_factors_when_read(
+    north_ayrshire, monkeypatch
+):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rational(*args)
+
+    monkeypatch.setattr(methods, "rational", counting)
+    monkeypatch.setattr(rationals, "rational", counting)
+    rounds = meek_stv(north_ayrshire).log.rounds
+    # the default tolerance and the initial quota once, then each round's
+    # quota and exhausted weight
+    assert len(calls) <= 2 + 2 * len(rounds)
+    built = len(calls)
+    last = rounds[-1]
+    assert last.totals[0] == last.totals[0]
+    assert last.keep_factors[0] <= ONE
+    assert len(calls) == built + 3
 
 
 # --------------------------------------------------------------------- EAR

@@ -3,6 +3,7 @@ import pytest
 from blocaudit.rationals import (
     ONE,
     ZERO,
+    RationalsOver,
     decimal_string,
     floor_rational,
     parse_rational,
@@ -51,3 +52,18 @@ def test_decimal_string_truncates_toward_zero():
     assert decimal_string(rational(5)) == "5.00000"
     assert decimal_string(rational(1, 3), places=0) == "0"
     assert decimal_string(rational(833)) == "833.00000"
+
+
+def test_rationals_over_reads_integers_over_one_denominator():
+    nums = [3, 0, -4]
+    row = RationalsOver(nums, 6)
+    nums[0] = 99  # the mapping keeps its own snapshot
+    assert list(row) == [0, 1, 2]
+    assert len(row) == 3
+    assert row == dict(row) == {0: rational(1, 2), 1: ZERO, 2: rational(-2, 3)}
+    for key in (-1, 3, "0"):
+        with pytest.raises(KeyError):
+            row[key]
+    first, again = row[0], row[0]
+    assert first == again
+    assert type(first) is type(again) is type(ONE)
