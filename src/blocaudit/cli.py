@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -184,33 +185,27 @@ def cmd_tabulate(args) -> int:
 # ------------------------------------------------------------------- audit
 
 
-def _audit_one(election: Election, methods, criteria, params, party_swaps):
-    """All violation records for one election, in a deterministic order.
+def _audit_one(election: Election, method, criteria, params, party_swaps):
+    """One rule's violation records for one election, and whether its base tied.
 
-    The searches of one rule share one probe session (see ProbeSession).
+    The records come in a deterministic order. The searches share one probe
+    session (see ProbeSession) and find nothing when the base count is tied.
     """
+    session = ProbeSession(election, method)
     records = []
-    tied_methods = []
-    for method in methods:
-        session = ProbeSession(election, method)
-        if session.before.tie_flag:
-            tied_methods.append(method)
-        for criterion in criteria:
-            if criterion == "ILVB":
-                found = search_ilvb(election, method, params, session=session)
-            else:
-                star = criterion == "IWVB_STAR"
-                found = search_iwvb(
-                    election, method, params, star_mode=star, session=session
-                )
-            records.extend(found)
-            if party_swaps:
-                records.extend(
-                    search_party_swaps(
-                        election, method, params, criterion, session=session
-                    )
-                )
-    return records, tied_methods
+    for criterion in criteria:
+        if criterion == "ILVB":
+            records += search_ilvb(election, method, params, session=session)
+        else:
+            star = criterion == "IWVB_STAR"
+            records += search_iwvb(
+                election, method, params, star_mode=star, session=session
+            )
+        if party_swaps:
+            records += search_party_swaps(
+                election, method, params, criterion, session=session
+            )
+    return records, session.before.tie_flag
 
 
 def _audit_file(path: Path, settings: dict):
@@ -220,12 +215,13 @@ def _audit_file(path: Path, settings: dict):
     records, tied, errors = [], [], []
     for method in settings["methods"]:
         try:
-            found, tied_here = _audit_one(election, [method], *searches)
+            found, base_tied = _audit_one(election, method, *searches)
         except ComputationError as exc:
             errors.append(f"{path.stem} {method}: {type(exc).__name__}: {exc}")
             continue
         records += [record_to_json(rec, election.profile, path.stem) for rec in found]
-        tied += tied_here
+        if base_tied:
+            tied.append(method)
     return records, tied, errors
 
 
@@ -598,9 +594,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; main reuses it for every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args) or 0
     except (InputError, OSError) as exc:

@@ -19,9 +19,9 @@ The searches are heuristics that probe graded fractions of each pool, and
 search_party_swaps restricts the same pools to removals that move one seat
 between two parties. Searches over one (election, rule) can share a
 ProbeSession, so each removal is scored once; audit and batch do. The
-session tabulates the reduced election for most rules; for the
-Chamberlin-Courant tags it subtracts the removed ballots' unit score rows,
-built lazily per ballot type, from the base committee scores. Every
+session tabulates the reduced election for most rules and scores
+Chamberlin-Courant removals by difference (methods.CCScores). A rule
+whose base count is tie-flagged is not searched. Every
 reported record is re-checked by a fresh call to the public check_*, never
 from the session. oracle_ilvb exhaustively enumerates loser-only removals
 for small instances and is the ground truth the heuristics are tested
@@ -30,29 +30,24 @@ against.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import product, repeat
-from operator import mul, sub
+from itertools import product
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import OracleBudgetError, PreconditionError
 from .methods import (
     CC_MODELS,
     METHOD_TAGS,
+    CCScores,
     TabulationResult,
     WinnerSet,
-    _cc_argmax,
-    _cc_scores,
     tabulate,
 )
 from .profiles import (
     BallotSelection,
-    BallotType,
     Election,
     PreferenceProfile,
-    _validate_removal,
     ballots_ranking_only,
     fraction_of,
     remove_ballots,
@@ -145,28 +140,17 @@ class ProbeSession:
     pair), which the searches of one rule rebuild otherwise. The searches
     read nothing else; the public checks never read the session.
 
-    Most rules score a removal by tabulating the reduced election. The
+    Most rules score a removal by tabulating the reduced election; the
     Chamberlin-Courant tags ("cc-om", "cc-pm") score it by difference
-    instead: a committee's score is linear in the ballot-type counts, so the
-    session keeps the base scores of every committee and subtracts r times
-    the unit row of each type t it removes r ballots of. The unit row of t
-    is the same kernel applied to one ballot of type t, built the first time
-    a probe removes t.
+    (methods.CCScores).
     """
 
     def __init__(self, election: Election, method: MethodLike):
         self.election = election
         self.method = method
-        self._cc_model = CC_MODELS.get(method) if isinstance(method, str) else None
-        if self._cc_model is None:
-            self.before = _run(method, election).winners
-        else:
-            profile = election.profile
-            self._cc_base = _cc_scores(
-                profile.ballots, profile.m, election.k, self._cc_model
-            )
-            self._cc_units: dict[int, array] = {}
-            self.before = _cc_argmax(self._cc_base, profile.m, election.k)
+        model = CC_MODELS.get(method) if isinstance(method, str) else None
+        self._cc = None if model is None else CCScores(election, model)
+        self.before = self._cc.winners if self._cc else _run(method, election).winners
         self.winners = self.before.members
         self.losers = frozenset(range(election.profile.m)) - self.winners
         self._memo: dict[BallotSelection, WinnerSet] = {}
@@ -182,28 +166,12 @@ class ProbeSession:
     def winners_after(self, selection: BallotSelection) -> WinnerSet:
         winners = self._memo.get(selection)
         if winners is None:
-            if self._cc_model is None:
+            if self._cc is None:
                 winners = _run(self.method, _without(self.election, selection)).winners
             else:
-                winners = self._cc_winners_after(selection)
+                winners = self._cc.winners_without(selection)
             self._memo[selection] = winners
         return winners
-
-    def _cc_winners_after(self, selection: BallotSelection) -> WinnerSet:
-        profile = self.election.profile
-        m, k = profile.m, self.election.k
-        _validate_removal(profile, selection)
-        scores = self._cc_base
-        for t, removed in selection.entries:
-            unit = self._cc_units.get(t)
-            if unit is None:
-                one = BallotType(profile.ballots[t].ranking, 1)
-                unit = array("q", _cc_scores((one,), m, k, self._cc_model))
-                self._cc_units[t] = unit
-            if removed != 1:
-                unit = map(mul, unit, repeat(removed))
-            scores = list(map(sub, scores, unit))
-        return _cc_argmax(scores, m, k)
 
     def fractions(
         self, allowed: frozenset[int], sigma: int
@@ -452,7 +420,9 @@ def _search(
 ) -> list[ViolationRecord]:
     """Probe the criterion's pools for each target pair (A, B).
 
-    Without party_swaps, A ranges over the winners when the criterion
+    A tie-flagged base count is not probed: the searches drop every result
+    touching a tie-flagged tabulation, so none could be reported. Without
+    party_swaps, A ranges over the winners when the criterion
     displaces one and is None otherwise. With party_swaps, A and B come
     from different parties, each pool drops both parties' candidates, and a
     hit counts only when it moves one seat from A's party to B's.
@@ -463,6 +433,8 @@ def _search(
         session = ProbeSession(election, method)
     elif session.election is not election or session.method != method:
         raise PreconditionError("the probe session belongs to another election or rule")
+    if session.before.tie_flag:
+        return []
     profile = election.profile
     winners = session.winners
     sigma = getattr(params, spec.sigma)
@@ -492,7 +464,7 @@ def _search(
                         party, seats_before, a, b, after.members
                     ):
                         continue
-                    if session.before.tie_flag or after.tie_flag:
+                    if after.tie_flag:
                         continue
                     displaced = spec.displaced(winners, ranked, after.members)
                     if party_swaps or a in displaced:

@@ -3,19 +3,23 @@
 Every tabulation returns a TabulationResult: a WinnerSet plus a RoundLog
 holding per-round exact vote totals and the events that produced them.
 
-Tie handling: every invocation of the deterministic tie-break rule (lowest
-candidate id / lexicographically smallest committee) is recorded as a
-TieEvent in the log. WinnerSet.tie_flag is raised only when some recorded
-tie actually separated candidates into different final fates (one elected,
-another not). A tie whose participants all won, or all lost, is bookkeeping
-order and does not taint the outcome; it stays visible in the log either way.
+Tie handling: one deterministic rule breaks every tie, lowest candidate id
+first (_take_first) and the lexicographically smallest committee first
+(first_best_committee). Scottish, Meek and EAR record each tie-break as a
+TieEvent in the log, and their WinnerSet.tie_flag is raised only when some
+recorded tie actually separated candidates into different final fates (one
+elected, another not). A tie whose participants all won, or all lost, is
+bookkeeping order and does not taint the outcome; it stays visible in the
+log either way. The one-round rules flag a tie at the seat boundary.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
+from operator import mul, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -23,7 +27,8 @@ from .errors import (
     MeekNonConvergenceError,
     PreconditionError,
 )
-from .profiles import BallotType, Election, PreferenceProfile
+from .profiles import BallotSelection, BallotType, Election, PreferenceProfile
+from .profiles import _validate_removal
 from .rationals import ONE, ZERO, RationalsOver, decimal_string, rational
 
 HOPEFUL = "hopeful"
@@ -50,7 +55,7 @@ class WinnerSet:
 @dataclass(frozen=True)
 class TieEvent:
     round: int
-    kind: str  # "elimination" | "surplus_order" | "election" | "committee"
+    kind: str  # "elimination" | "surplus_order" | "election"
     tied: tuple[int, ...]
     chosen: tuple[int, ...]
 
@@ -88,11 +93,35 @@ class TabulationResult(NamedTuple):
 
 def _fate_tie_flag(tie_events: Iterable[TieEvent], winners: frozenset[int]) -> bool:
     """True when any tie-break separated candidates into different final fates."""
-    for event in tie_events:
-        fates = {c in winners for c in event.tied}
-        if len(fates) > 1:
-            return True
-    return False
+    return any(len({c in winners for c in event.tied}) > 1 for event in tie_events)
+
+
+def _result(method: str, quota, elected, rounds, tie_events, notes=()):
+    """The winner set, its tie flag and the round log at the end of a count."""
+    members = frozenset(elected)
+    winners = WinnerSet(members, _fate_tie_flag(tie_events, members))
+    log = RoundLog(method, quota, rounds, tie_events, tuple(notes))
+    return TabulationResult(winners, log)
+
+
+def _take_first(
+    candidates: Iterable[int], n: int, value, kind: str, round_number: int, tie_events
+) -> list[int]:
+    """The n >= 1 candidates of highest value(c), best first.
+
+    This is the one tie-break rule for candidates: equal values go to the
+    lower id. When the cut after n splits candidates of equal value, a
+    TieEvent of this kind records them all and the ones taken.
+    """
+    order = sorted(candidates, key=lambda c: (-value(c), c))
+    chosen = order[:n]
+    if n < len(order):
+        cut = value(order[n - 1])
+        if value(order[n]) == cut:
+            tied = tuple(c for c in order if value(c) == cut)
+            taken = tuple(c for c in chosen if value(c) == cut)
+            tie_events.append(TieEvent(round_number, kind, tied, taken))
+    return chosen
 
 
 def droop_quota(total_ballots: int, k: int) -> int:
@@ -120,18 +149,10 @@ def _elect_crossers(
     keeps. A tie on the last open seat's total goes to the lower id and is
     recorded as an "election" tie. Returns the candidates elected, in order.
     """
-    open_seats = k - len(elected)
-    crossers = sorted(
+    crossers = _take_first(
         (c for c in status if status[c] == HOPEFUL and reached(c)),
-        key=lambda c: (-totals[c], c),
+        k - len(elected), totals.__getitem__, "election", rnd.number, tie_events,
     )
-    if len(crossers) > open_seats:
-        cutoff_value = totals[crossers[open_seats - 1]]
-        if totals[crossers[open_seats]] == cutoff_value:
-            tied = tuple(c for c in crossers if totals[c] == cutoff_value)
-            chosen = tuple(c for c in crossers[:open_seats] if totals[c] == cutoff_value)
-            tie_events.append(TieEvent(rnd.number, "election", tied, chosen))
-        crossers = crossers[:open_seats]
     for c in crossers:
         status[c] = ELECTED
         elected.append(c)
@@ -157,12 +178,10 @@ def _eliminate_lowest(totals, status, rnd: Round, tie_events: list[TieEvent]) ->
     totals is as for _elect_crossers. A tie goes to the lower id and is
     recorded as an "elimination" tie.
     """
-    hopefuls = [c for c in status if status[c] == HOPEFUL]
-    low_value = min(totals[c] for c in hopefuls)
-    tied = sorted(c for c in hopefuls if totals[c] == low_value)
-    if len(tied) > 1:
-        tie_events.append(TieEvent(rnd.number, "elimination", tuple(tied), (tied[0],)))
-    out = tied[0]
+    [out] = _take_first(
+        (c for c in status if status[c] == HOPEFUL),
+        1, lambda c: -totals[c], "elimination", rnd.number, tie_events,
+    )
     status[out] = ELIMINATED
     rnd.events.append(RoundEvent("eliminated", out))
     return out
@@ -266,14 +285,11 @@ def scottish_stv(election: Election) -> TabulationResult:
             break
 
         if pending_surplus:
-            pending_surplus.sort(key=lambda c: (-totals[c], c))
-            top = totals[pending_surplus[0]]
-            tied = [c for c in pending_surplus if totals[c] == top]
-            if len(tied) > 1:
-                tie_events.append(
-                    TieEvent(rnd.number, "surplus_order", tuple(tied), (tied[0],))
-                )
-            c = pending_surplus.pop(0)
+            [c] = _take_first(
+                pending_surplus, 1, totals.__getitem__, "surplus_order",
+                rnd.number, tie_events,
+            )
+            pending_surplus.remove(c)
             surplus = totals[c] - quota_scaled
             if surplus > 0:
                 g = math.gcd(surplus, totals[c])
@@ -285,9 +301,7 @@ def scottish_stv(election: Election) -> TabulationResult:
             move_pile(c, 1, 1)
             totals[c] = 0
 
-    members = frozenset(elected)
-    winners = WinnerSet(members, _fate_tie_flag(tie_events, members))
-    return TabulationResult(winners, RoundLog("scottish", quota, rounds, tie_events))
+    return _result("scottish", quota, elected, rounds, tie_events)
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +414,7 @@ def meek_stv(
                 # floor(D * keep*quota/votes), capped at 1
                 keep[c] = min(keep[c] * quota_num // ((k + 1) * totals[c]), D)
 
-    members = frozenset(elected)
-    winners = WinnerSet(members, _fate_tie_flag(tie_events, members))
-    return TabulationResult(
-        winners, RoundLog("meek", initial_quota, rounds, tie_events)
-    )
+    return _result("meek", initial_quota, elected, rounds, tie_events)
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +490,12 @@ def ear(election: Election) -> TabulationResult:
                     "greatest support with supporter weights zeroed"
                 )
             contenders = [c for c in ids if c not in elected]
-        best = max(support[c] for c in contenders)
-        tied = sorted(c for c in contenders if support[c] == best)
-        if len(tied) > 1:
-            tie_events.append(
-                TieEvent(len(rounds) + 1, "election", tuple(tied), (tied[0],))
-            )
-        chosen = tied[0]
-        # (best - quota) / best over den, as (numerator, denominator)
-        over = best * (k + 1)
+        [chosen] = _take_first(
+            contenders, 1, support.__getitem__, "election", len(rounds) + 1,
+            tie_events,
+        )
+        # (support - quota) / support of the chosen over den, as (num, den)
+        over = support[chosen] * (k + 1)
         scale = (over - total * den, over) if j <= m else (0, 1)
         moved: dict[int, int] = {}  # source class -> its rescaled class
         for t, ranking in enumerate(rankings):
@@ -518,11 +525,7 @@ def ear(election: Election) -> TabulationResult:
         )
         elected.append(chosen)
 
-    members = frozenset(elected)
-    winners = WinnerSet(members, _fate_tie_flag(tie_events, members))
-    return TabulationResult(
-        winners, RoundLog("ear", quota, rounds, tie_events, tuple(notes))
-    )
+    return _result("ear", quota, elected, rounds, tie_events, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -591,32 +594,65 @@ def _cc_scores(
     ]
 
 
-def _cc_argmax(scores: Sequence[int], m: int, k: int) -> WinnerSet:
+def first_best_committee(
+    committees: Iterable[Iterable[int]], scores: Sequence
+) -> WinnerSet:
     """The committee of the first best score, tie-flagged when it is not unique.
 
-    scores are in itertools.combinations(range(m), k) order, as _cc_scores
-    gives them, so the first best is the lexicographically smallest.
+    This is the one tie-break rule for committees. scores[i] is the score of
+    the i-th committee; listed in lexicographic order, as
+    itertools.combinations gives them, the first best is the
+    lexicographically smallest.
     """
     best = max(scores)
-    first = scores.index(best)
-    committees = itertools.combinations(range(m), k)
-    committee = next(itertools.islice(committees, first, None))
+    committee = next(itertools.islice(committees, scores.index(best), None))
     return WinnerSet(frozenset(committee), scores.count(best) > 1)
+
+
+class CCScores:
+    """Chamberlin-Courant scores of every size-k committee of one election.
+
+    base holds them in itertools.combinations order and winners is their
+    argmax. The scores (_cc_scores) are linear in the ballot-type
+    multiplicities, so winners_without(selection) scores a removal by
+    difference: base minus, for each ballot type t the selection removes r
+    ballots of, r times the unit row of t (the scores of one ballot of type
+    t, built the first time a removal takes t).
+    """
+
+    def __init__(self, election: Election, model: str):
+        self.profile, self.k, self.model = election.profile, election.k, model
+        self.base = _cc_scores(self.profile.ballots, self.profile.m, self.k, model)
+        self.winners = self._argmax(self.base)
+        self._units: dict[int, array] = {}
+
+    def _argmax(self, scores: Sequence[int]) -> WinnerSet:
+        committees = itertools.combinations(range(self.profile.m), self.k)
+        return first_best_committee(committees, scores)
+
+    def winners_without(self, selection: BallotSelection) -> WinnerSet:
+        _validate_removal(self.profile, selection)
+        scores = self.base
+        for t, removed in selection.entries:
+            unit = self._units.get(t)
+            if unit is None:
+                one = (BallotType(self.profile.ballots[t].ranking, 1),)
+                unit = array("q", _cc_scores(one, self.profile.m, self.k, self.model))
+                self._units[t] = unit
+            if removed != 1:
+                unit = map(mul, unit, itertools.repeat(removed))
+            scores = list(map(sub, scores, unit))
+        return self._argmax(scores)
 
 
 def cc(election: Election, model: str) -> WinnerSet:
     """Exact Chamberlin-Courant: argmax of cc_score over all size-k committees.
 
     Ties go to the lexicographically smallest id tuple, with the tie flag set.
-    Refuses profiles with more than MAX_ENUM_CANDIDATES candidates. The
-    scores come from one integer kernel (_cc_scores) and are linear in the
-    ballot-type multiplicities, so a probe session (criteria.ProbeSession)
-    scores a removal by difference: the base scores minus, for each removed
-    type, its count times its unit row (the kernel applied to one ballot of
-    that type, built the first time a probe removes it), then this argmax.
+    Refuses profiles with more than MAX_ENUM_CANDIDATES candidates. See
+    CCScores for how a removal is scored by difference.
     """
-    m, k = election.profile.m, election.k
-    return _cc_argmax(_cc_scores(election.profile.ballots, m, k, model), m, k)
+    return CCScores(election, model).winners
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +711,7 @@ def positional_committee(election: Election, sv: ScoringVector) -> WinnerSet:
     Ordered by (score desc, id asc); the tie flag is set when the seat
     boundary splits candidates with equal scores.
     """
-    profile = election.profile
-    k = election.k
-    scores = positional_scores(profile, sv)
-    order = sorted(scores, key=lambda c: (-scores[c], c))
-    tie = scores[order[k - 1]] == scores[order[k]]
-    return WinnerSet(frozenset(order[:k]), tie)
+    return tabulate(election, "positional", sv=sv).winners
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +743,10 @@ def tabulate(
     elif method == "positional":
         if sv is None:
             sv = borda_vector(election.profile.m)
-        winners = positional_committee(election, sv)
         scores = positional_scores(election.profile, sv)
+        ties: list[TieEvent] = []
+        top = _take_first(scores, election.k, scores.__getitem__, "election", 1, ties)
+        winners = WinnerSet(frozenset(top), bool(ties))
     else:
         raise PreconditionError(
             f"unknown method {method!r}; expected one of {METHOD_TAGS}"

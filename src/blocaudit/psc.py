@@ -27,6 +27,7 @@ from .methods import (
     TabulationResult,
     WinnerSet,
     droop_quota,
+    first_best_committee,
     hare_quota,
     positional_scores,
 )
@@ -130,22 +131,18 @@ def qpsc_scoring_rule(election: Election, q, sv: ScoringVector) -> WinnerSet:
     violating a q-PSC constraint are excluded before scoring. Score ties
     keep the lexicographically first committee and set the tie flag.
     """
+    return _best_compatible(election, q, positional_scores(election.profile, sv))
+
+
+def _best_compatible(election: Election, q, scores) -> WinnerSet:
+    """qpsc_scoring_rule from the candidates' positional scores."""
     compatible = enumerate_psc_committees(election, q)
     if not compatible:
         raise PreconditionError(
             f"no committee of size {election.k} is compatible with q={q}"
         )
-    scores = positional_scores(election.profile, sv)
-    best = None
-    best_score = None
-    tie = False
-    for committee in compatible:
-        score = sum((scores[c] for c in committee), ZERO)
-        if best_score is None or score > best_score:
-            best, best_score, tie = committee, score, False
-        elif score == best_score:
-            tie = True
-    return WinnerSet(frozenset(best), tie)
+    totals = [sum((scores[c] for c in committee), ZERO) for committee in compatible]
+    return first_best_committee(compatible, totals)
 
 
 # The quota of each q_mode as an exact rational, from V ballots and k seats.
@@ -165,15 +162,10 @@ def qpsc_method(sv: ScoringVector, q_mode: str = "droop"):
 
     def run(election: Election) -> TabulationResult:
         q = QUOTAS[q_mode](election.profile.total_ballots, election.k)
-        winners = qpsc_scoring_rule(election, q, sv)
         scores = positional_scores(election.profile, sv)
-        log = RoundLog(
-            "qpsc",
-            q,
-            [Round(1, scores, q, ZERO)],
-            [],
-            notes=(f"quota mode: {q_mode}",),
-        )
+        winners = _best_compatible(election, q, scores)
+        notes = (f"quota mode: {q_mode}",)
+        log = RoundLog("qpsc", q, [Round(1, scores, q, ZERO)], [], notes)
         return TabulationResult(winners, log)
 
     run.method_tag = "qpsc"

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import blocaudit.cli as cli
 import blocaudit.criteria as criteria
 from blocaudit.cli import AUDIT_METHODS, _audit_one, main
 from blocaudit.criteria import (
@@ -55,6 +56,23 @@ def test_tabulate_positional_with_vector(capsys):
     )
     assert code == 0
     assert "winners:" in out
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(True)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    for _ in range(2):
+        code, out, _ = run(capsys, "tabulate", str(EAST_AYRSHIRE))
+        assert code == 0
+        assert "winners: Knapp, Ross, Todd" in out
+    assert len(built) == 1
 
 
 def test_tabulate_missing_file(capsys):
@@ -139,7 +157,9 @@ def test_audit_sigma_controls_grading(capsys):
 def test_audit_one_equals_searches_run_alone(east_ayrshire, north_ayrshire):
     params = SearchParams()
     for election in (east_ayrshire, north_ayrshire):
-        shared, _ = _audit_one(election, AUDIT_METHODS, CRITERIA, params, True)
+        shared = []
+        for method in AUDIT_METHODS:
+            shared += _audit_one(election, method, CRITERIA, params, True)[0]
         alone = []
         for method in AUDIT_METHODS:
             for criterion in CRITERIA:
@@ -178,9 +198,9 @@ def test_audit_one_tabulates_each_removal_once(east_ayrshire, monkeypatch):
     monkeypatch.setattr(criteria, "tabulate", counting_tabulate)
     for name, check in list(criteria.CHECKS.items()):
         monkeypatch.setitem(criteria.CHECKS, name, flagged(check))
-    records, _ = _audit_one(
-        east_ayrshire, AUDIT_METHODS, CRITERIA, SearchParams(), True
-    )
+    records = []
+    for method in AUDIT_METHODS:
+        records += _audit_one(east_ayrshire, method, CRITERIA, SearchParams(), True)[0]
     assert records
     assert len(outside_checks) > len(AUDIT_METHODS)
     assert max(outside_checks.values()) == 1

@@ -28,6 +28,7 @@ from blocaudit import (
     tabulate,
 )
 from blocaudit.criteria import ProbeSession
+from blocaudit.methods import CCScores
 from blocaudit.profiles import BallotSelection
 from cc_reference import reference_cc
 from conftest import random_profile
@@ -389,6 +390,39 @@ def test_session_cc_probes_match_definition(east_ayrshire, north_ayrshire):
                 tied += winners.tie_flag
                 single_seat += k == 1
     assert probes > 1000 and tied and single_seat
+
+
+@pytest.mark.parametrize("tag", ["scottish", "cc-om"])
+def test_searches_skip_a_tie_flagged_base(east_ayrshire, monkeypatch, tag):
+    # mirroring makes candidates 0 and 1 interchangeable, so a base that
+    # seats one of them and not the other is tie-flagged
+    if tag == "scottish":
+        election = mirrored(east_ayrshire)
+    else:
+        election = mirrored(make_election(["a", "b", "c"], [((0,), 5), ((2,), 1)], 1))
+    session = ProbeSession(election, tag)
+    assert session.before.tie_flag
+    scored = Counter()
+
+    def counting(name, real):
+        def run(*args, **kwargs):
+            scored[name] += 1
+            return real(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(criteria, "tabulate", counting("tabulate", criteria.tabulate))
+    monkeypatch.setattr(
+        CCScores, "winners_without", counting("cc", CCScores.winners_without)
+    )
+    assert search_ilvb(election, tag, session=session) == []
+    for star in (False, True):
+        assert search_iwvb(election, tag, star_mode=star, session=session) == []
+    for criterion in ("ILVB", "IWVB", "IWVB_STAR"):
+        assert search_party_swaps(
+            election, tag, criterion=criterion, session=session
+        ) == []
+    assert not scored
+    assert not session._memo
 
 
 @pytest.mark.parametrize("method", ["scottish", "cc-om", "cc-pm"])

@@ -673,6 +673,21 @@ def test_positional_committee_top_k_and_ties():
     assert winners.tie_flag
 
 
+def test_positional_scores_once_per_tabulation(east_ayrshire, monkeypatch):
+    calls = []
+    real = methods.positional_scores
+
+    def counting(profile, sv):
+        calls.append(sv)
+        return real(profile, sv)
+
+    monkeypatch.setattr(methods, "positional_scores", counting)
+    winners, log = tabulate(east_ayrshire, "positional")
+    assert len(calls) == 1
+    assert winners == methods.positional_committee(east_ayrshire, calls[0])
+    assert log.rounds[0].totals == real(east_ayrshire.profile, calls[0])
+
+
 def test_positional_defaults_to_borda(east_ayrshire):
     explicit, _ = tabulate(
         east_ayrshire, "positional", sv=borda_vector(east_ayrshire.profile.m)

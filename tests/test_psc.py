@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import blocaudit.psc as psc
 from blocaudit import (
     EnumerationGuardError,
     PreconditionError,
@@ -206,6 +207,22 @@ def test_qpsc_method_as_removal_subject():
     assert record is not None
     assert record.modified_winners.members == {0, 2}
     assert not record.modified_winners.tie_flag
+
+
+def test_qpsc_method_scores_once_per_tabulation(monkeypatch):
+    election = left_election()
+    sv = ScoringVector((rational(1), rational(1, 100)))
+    calls = []
+    real = psc.positional_scores
+
+    def counting(profile, sv):
+        calls.append(sv)
+        return real(profile, sv)
+
+    monkeypatch.setattr(psc, "positional_scores", counting)
+    result = qpsc_method(sv)(election)
+    assert len(calls) == 1
+    assert result.winners == qpsc_scoring_rule(election, rational(334), sv)
 
 
 def test_qpsc_method_right_case():
