@@ -21,7 +21,8 @@ between two parties. Searches over one (election, rule) can share a
 ProbeSession, so each removal is scored once; audit and batch do. The
 session tabulates the reduced election for most rules and scores
 Chamberlin-Courant removals by difference (methods.CCScores). A rule
-whose base count is tie-flagged is not searched. Every
+whose base count is tie-flagged is not searched, nor are the pairs of
+criterion and rule that PROVEN_IMMUNE proves clean. Every
 reported record is re-checked by a fresh call to the public check_*, never
 from the session. oracle_ilvb exhaustively enumerates loser-only removals
 for small instances and is the ground truth the heuristics are tested
@@ -289,6 +290,21 @@ CRITERION_TABLE = {
 }
 
 
+# (criterion, rule tag) pairs that admit no violation, so no search probes
+# them. Take W untied. Chamberlin-Courant's unranked score is never above a
+# ranked one, so a ballot ranking only losers gives W the lowest score any
+# committee can get from it: removing it lowers no rival's margin over W,
+# and W stays the unique best (no ILVB). A ballot ranking only members of
+# R, a subset of W, gives every committee containing R the top score m - 1,
+# as it gives W: removing it leaves each such committee's gap to W as it
+# was, so the committee left never contains every ranked candidate while
+# differing from W (no IWVB_STAR). Acceptance test 4 checks both by
+# exhaustive removal on random profiles.
+PROVEN_IMMUNE = frozenset(
+    (criterion, tag) for criterion in ("ILVB", "IWVB_STAR") for tag in CC_MODELS
+)
+
+
 def _check(
     criterion: str, election: Election, method: MethodLike, selection: BallotSelection
 ) -> ViolationRecord | None:
@@ -420,8 +436,9 @@ def _search(
 ) -> list[ViolationRecord]:
     """Probe the criterion's pools for each target pair (A, B).
 
-    A tie-flagged base count is not probed: the searches drop every result
-    touching a tie-flagged tabulation, so none could be reported. Without
+    A (criterion, rule tag) pair in PROVEN_IMMUNE is not probed, and neither
+    is a tie-flagged base count: the searches drop every result touching a
+    tie-flagged tabulation, so none could be reported. Without
     party_swaps, A ranges over the winners when the criterion
     displaces one and is None otherwise. With party_swaps, A and B come
     from different parties, each pool drops both parties' candidates, and a
@@ -429,10 +446,14 @@ def _search(
     """
     spec = CRITERION_TABLE[criterion]
     params = params or SearchParams()
+    if session is not None and (
+        session.election is not election or session.method != method
+    ):
+        raise PreconditionError("the probe session belongs to another election or rule")
+    if isinstance(method, str) and (criterion, method) in PROVEN_IMMUNE:
+        return []
     if session is None:
         session = ProbeSession(election, method)
-    elif session.election is not election or session.method != method:
-        raise PreconditionError("the probe session belongs to another election or rule")
     if session.before.tie_flag:
         return []
     profile = election.profile

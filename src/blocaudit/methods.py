@@ -162,10 +162,10 @@ def _elect_crossers(
 
 def _elect_remaining(status, elected: list[int], k: int, rnd: Round) -> bool:
     """If the hopefuls exactly fill the open seats, elect them, lowest id first."""
-    hopefuls = sorted(c for c in status if status[c] == HOPEFUL)
+    hopefuls = [c for c in status if status[c] == HOPEFUL]
     if len(hopefuls) != k - len(elected):
         return False
-    for c in hopefuls:
+    for c in sorted(hopefuls):
         status[c] = ELECTED
         elected.append(c)
         rnd.events.append(RoundEvent("elected", c))
@@ -335,6 +335,15 @@ def meek_stv(
     (D-K)/D, so before the j-th such position (j = 0, 1, ..., at most L-1)
     w is still a multiple of D**(L-j) and D divides w*K. A position with
     K = D takes all of w.
+
+    Where a type's weight goes depends only on its effective path: the
+    candidates with 0 < K < D in ranking order, then the first with K = D
+    (those with K = 0 are skipped). Types that share a path are summed into
+    one weight. A sum of multiples of D**(L-j) is still one, so the takes
+    stay exact and floor(sum(w)*K/D) = sum(floor(w*K/D)): the totals and the
+    exhausted weight are the same integers as type by type. The groups are
+    rebuilt only when a keep factor changes class (0, partial or D), that
+    is on an elimination or an update that moves K to or from D or to 0.
     """
     profile = election.profile
     k = election.k
@@ -353,22 +362,37 @@ def meek_stv(
     ids = [c.id for c in profile.candidates]
     status = {cid: HOPEFUL for cid in ids}
     keep = [D] * len(ids)
-    ballots = [(bt.ranking, bt.multiplicity * scale) for bt in profile.ballots]
 
-    def distribute() -> tuple[list[int], int]:
+    def group() -> list[tuple[tuple[int, ...], int]]:
+        """Each effective path under the current keep factors, with its weight."""
+        counts: dict[tuple[int, ...], int] = {}
+        for bt in profile.ballots:
+            path = []
+            for cid in bt.ranking:
+                kf = keep[cid]
+                if kf:
+                    path.append(cid)
+                    if kf == D:
+                        break
+            path = tuple(path)
+            counts[path] = counts.get(path, 0) + bt.multiplicity
+        return [(path, n * scale) for path, n in counts.items()]
+
+    def distribute(
+        groups: list[tuple[tuple[int, ...], int]],
+    ) -> tuple[list[int], int]:
         totals = [0] * len(ids)
         exhausted = 0
-        for ranking, w in ballots:
-            for cid in ranking:
+        for path, w in groups:
+            for cid in path:
                 kf = keep[cid]
                 if kf == D:
                     totals[cid] += w
                     w = 0
                     break
-                if kf:
-                    take = w * kf // D
-                    totals[cid] += take
-                    w -= take
+                take = w * kf // D
+                totals[cid] += take
+                w -= take
             exhausted += w
         return totals, exhausted
 
@@ -376,9 +400,10 @@ def meek_stv(
     rounds: list[Round] = []
     tie_events: list[TieEvent] = []
     initial_quota = exact_droop_quota(total, k)
+    groups = group()
 
     while len(elected) < k:
-        totals, exhausted = distribute()
+        totals, exhausted = distribute(groups)
         quota_num = full - exhausted
         rnd = Round(
             len(rounds) + 1,
@@ -407,12 +432,18 @@ def meek_stv(
         )
         if converged:
             keep[_eliminate_lowest(totals, status, rnd, tie_events)] = 0
+            groups = group()
             continue
 
+        regroup = False
         for c in elected:
             if totals[c] > 0:
                 # floor(D * keep*quota/votes), capped at 1
-                keep[c] = min(keep[c] * quota_num // ((k + 1) * totals[c]), D)
+                kf = min(keep[c] * quota_num // ((k + 1) * totals[c]), D)
+                regroup |= kf == 0 or (kf == D) != (keep[c] == D)
+                keep[c] = kf
+        if regroup:
+            groups = group()
 
     return _result("meek", initial_quota, elected, rounds, tie_events)
 

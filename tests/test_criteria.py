@@ -372,9 +372,12 @@ def cc_equivalence_elections(east_ayrshire, north_ayrshire):
                     yield mirrored(Election(election.profile, k))
 
 
-def test_session_cc_probes_match_definition(east_ayrshire, north_ayrshire):
+def test_session_cc_probes_match_definition(east_ayrshire, north_ayrshire, monkeypatch):
     # every probe the searches make, scored by difference from the base
-    # scores, gives the argmax of cc_score on the reduced profile
+    # scores, gives the argmax of cc_score on the reduced profile; the
+    # searches also probe the pools PROVEN_IMMUNE lets them skip, so the
+    # difference scores meet loser-only and winner-subset removals alike
+    monkeypatch.setattr(criteria, "PROVEN_IMMUNE", frozenset())
     probes = tied = single_seat = 0
     for election in cc_equivalence_elections(east_ayrshire, north_ayrshire):
         profile, k = election.profile, election.k
@@ -425,6 +428,45 @@ def test_searches_skip_a_tie_flagged_base(east_ayrshire, monkeypatch, tag):
     assert not session._memo
 
 
+@pytest.mark.parametrize("tag", ["cc-om", "cc-pm"])
+def test_cc_searches_skip_proven_immune_criteria(
+    east_ayrshire, north_ayrshire, monkeypatch, tag
+):
+    # ILVB and IWVB_STAR, party swaps included, score no removal for the
+    # coverage committees; IWVB and a callable rule are still searched
+    scored = []
+    real = CCScores.winners_without
+
+    def counting(self, selection):
+        scored.append(selection)
+        return real(self, selection)
+
+    monkeypatch.setattr(CCScores, "winners_without", counting)
+    for election in (east_ayrshire, north_ayrshire):
+        session = ProbeSession(election, tag)
+        assert not session.before.tie_flag
+        assert search_ilvb(election, tag, session=session) == []
+        assert search_ilvb(election, tag) == []
+        assert search_iwvb(election, tag, star_mode=True, session=session) == []
+        for criterion in ("ILVB", "IWVB_STAR"):
+            assert search_party_swaps(
+                election, tag, criterion=criterion, session=session
+            ) == []
+        assert not scored
+        search_iwvb(election, tag, session=session)
+        assert scored
+        scored.clear()
+
+    counts = []
+
+    def rule(election):
+        counts.append(election)
+        return tabulate(election, tag)
+
+    assert search_ilvb(east_ayrshire, rule) == []
+    assert len(counts) > 1
+
+
 @pytest.mark.parametrize("method", ["scottish", "cc-om", "cc-pm"])
 def test_session_winners_after_rejects_bad_removals(east_ayrshire, method):
     session = ProbeSession(east_ayrshire, method)
@@ -446,7 +488,9 @@ def test_session_scores_cc_probes_without_tabulating(
     east_ayrshire, monkeypatch, tag
 ):
     # only the public checks that re-verify each record may tabulate or
-    # remove ballots; the session scores every probe from its own rows
+    # remove ballots; the session scores every probe from its own rows,
+    # those of the pools PROVEN_IMMUNE lets the searches skip included
+    monkeypatch.setattr(criteria, "PROVEN_IMMUNE", frozenset())
     outside_checks = Counter()
     in_check = []
 

@@ -326,6 +326,42 @@ def test_meek_round_logs_match_rational_reference_on_randoms():
             assert_same_count(meek_stv(election), reference_meek_stv(election))
 
 
+def test_meek_round_logs_match_rational_reference_on_reduced_wards(
+    east_ayrshire, north_ayrshire
+):
+    # the golden removals change which candidates are eliminated, and when
+    for ward, (ranking, count) in (
+        (east_ayrshire, golden.EA_MOD_REMOVED),
+        (north_ayrshire, golden.NA_MOD_REMOVED),
+    ):
+        selection = selection_from_rankings(ward.profile, [(ranking, count)])
+        reduced = Election(remove_ballots(ward.profile, selection), ward.k)
+        assert_same_count(meek_stv(reduced), reference_meek_stv(reduced))
+
+
+def test_meek_round_logs_match_rational_reference_on_long_counts():
+    # full rankings over 8-9 candidates: each count eliminates several
+    # candidates and moves keep factors below D, so the ballot types are
+    # regrouped many times
+    rng = random.Random(7306)
+    for _ in range(6):
+        m = rng.randint(8, 9)
+        k = rng.randint(2, 4)
+        ballots = {}
+        for _ in range(rng.randint(15, 40)):
+            ranking = tuple(rng.sample(range(m), m))
+            ballots[ranking] = ballots.get(ranking, 0) + rng.randint(1, 30)
+        election = make_election(
+            [f"c{i}" for i in range(m)], sorted(ballots.items()), k
+        )
+        got = meek_stv(election)
+        assert_same_count(got, reference_meek_stv(election))
+        eliminated = [
+            ev for rnd in got.log.rounds for ev in rnd.events if ev.kind == "eliminated"
+        ]
+        assert len(eliminated) >= 3
+
+
 # North Ayrshire's Meek count runs 42 keep-factor iterations in all
 NA_MEEK_ITERATIONS = 42
 
