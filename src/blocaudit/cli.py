@@ -252,7 +252,11 @@ def cmd_audit(args) -> int:
 
 
 def _config_entries(path: str | None):
-    """(where, key, text) for each key=value line of a batch config file."""
+    """(where, key, text) for each key=value line of a batch config file.
+
+    A key may appear once; a repeat is an input error, not an override.
+    """
+    seen = set()
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -261,7 +265,11 @@ def _config_entries(path: str | None):
         if "=" not in line:
             raise InputError(f"{where}expected key=value, got {raw!r}")
         key, _, text = line.partition("=")
-        yield where, key.strip(), text.strip()
+        key = key.strip()
+        if key in seen:
+            raise InputError(f"{where}duplicate key {key!r}")
+        seen.add(key)
+        yield where, key, text.strip()
 
 
 def _batch_worker(task):

@@ -24,9 +24,9 @@ Chamberlin-Courant removals by difference (methods.CCScores). A rule
 whose base count is tie-flagged is not searched, nor are the pairs of
 criterion and rule that PROVEN_IMMUNE proves clean. Every
 reported record is re-checked by a fresh call to the public check_*, never
-from the session. oracle_ilvb exhaustively enumerates loser-only removals
-for small instances and is the ground truth the heuristics are tested
-against.
+from the session. oracle_ilvb applies check_ilvb to every loser-only
+removal of a small instance and is the ground truth the heuristics are
+tested against.
 """
 
 from __future__ import annotations
@@ -161,9 +161,6 @@ class ProbeSession:
         self._unions: dict[BallotSelection, frozenset[int]] = {}
         self._orders: dict[tuple[int, int], list[int]] = {}
 
-    def usable(self, selection: BallotSelection) -> bool:
-        return bool(selection) and selection.total < self.election.profile.total_ballots
-
     def winners_after(self, selection: BallotSelection) -> WinnerSet:
         winners = self._memo.get(selection)
         if winners is None:
@@ -179,13 +176,15 @@ class ProbeSession:
     ) -> tuple[BallotSelection, ...]:
         """Graded parts i/sigma, i = 1..sigma, of all ballots ranking only allowed.
 
-        Empty and repeated parts are dropped; the rest keep the order of i.
+        Empty and repeated parts are dropped, and so is a part holding every
+        ballot; the rest keep the order of i.
         """
         parts = self._fractions.get((allowed, sigma))
         if parts is None:
+            total = self.election.profile.total_ballots
             pool = ballots_ranking_only(self.election.profile, allowed)
             graded = (fraction_of(pool, i, sigma) for i in range(1, sigma + 1))
-            parts = tuple(dict.fromkeys(part for part in graded if part))
+            parts = tuple(dict.fromkeys(p for p in graded if p and p.total < total))
             self._fractions[(allowed, sigma)] = parts
         return parts
 
@@ -475,8 +474,6 @@ def _search(
                 if not allowed:
                     continue
                 for selection in session.fractions(allowed, sigma):
-                    if not session.usable(selection):
-                        continue
                     ranked = session.ranked_union(selection)
                     after = session.winners_after(selection)
                     if not spec.hit(winners, ranked, after.members):
@@ -581,15 +578,16 @@ def oracle_ilvb(
 
     The search space is the product over loser-only ballot types of
     (multiplicity + 1) removal counts; if that exceeds max_budget the call
-    refuses up front rather than running partially.
+    refuses up front rather than running partially. Every vector but the one
+    removing all ballots goes through check_ilvb, and its records are
+    returned as they are.
     """
-    session = ProbeSession(election, method)
-    hit = CRITERION_TABLE["ILVB"].hit
     profile = election.profile
+    winners = _run(method, election).winners.members
     loser_types = [
         (idx, bt.multiplicity)
         for idx, bt in enumerate(profile.ballots)
-        if bt.ranked_set <= session.losers
+        if not bt.ranked_set & winners
     ]
     budget = 1
     for _, mult in loser_types:
@@ -600,22 +598,16 @@ def oracle_ilvb(
                 f"{len(loser_types)} loser-only ballot types, over the "
                 f"budget of {max_budget}"
             )
-    found = {}
+    found = []
     for counts in product(*(range(mult + 1) for _, mult in loser_types)):
         entries = tuple(
             (idx, c) for (idx, _), c in zip(loser_types, counts) if c > 0
         )
-        if not entries:
-            continue
-        selection = BallotSelection(entries)
-        if not session.usable(selection):
-            continue
-        ranked = selection_ranked_union(profile, selection)
-        # every removal vector is distinct, so the session's memo would only grow
-        after = _run(method, _without(election, selection)).winners
-        if hit(session.winners, ranked, after.members):
-            found[selection] = (None, None)
-    return _verified(session, "ILVB", found)
+        if entries and sum(counts) < profile.total_ballots:
+            record = check_ilvb(election, method, BallotSelection(entries))
+            if record is not None:
+                found.append(record)
+    return found
 
 
 def record_to_json(

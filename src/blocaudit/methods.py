@@ -29,7 +29,9 @@ from .errors import (
 )
 from .profiles import BallotSelection, BallotType, Election, PreferenceProfile
 from .profiles import _validate_removal
-from .rationals import ONE, ZERO, RationalsOver, decimal_string, rational
+from .rationals import (
+    ONE, ZERO, RationalsOver, decimal_string, floor_rational, rational,
+)
 
 HOPEFUL = "hopeful"
 ELECTED = "elected"
@@ -355,9 +357,9 @@ def meek_stv(
     full = total * scale
     # quota = (full - exhausted) / quota_den = quota_num / quota_den, so a
     # total T reaches it when T*(k+1) >= quota_num; the tolerance is scaled
-    # to the same unit 1/quota_den.
+    # to the same unit 1/quota_den, and floored, since it bounds an integer.
     quota_den = (k + 1) * scale
-    tolerance_scaled = tolerance * quota_den
+    tolerance_scaled = floor_rational(tolerance * quota_den)
 
     ids = [c.id for c in profile.candidates]
     status = {cid: HOPEFUL for cid in ids}
@@ -759,10 +761,16 @@ def tabulate(
 ) -> TabulationResult:
     """Run one of the five rules by tag; see METHOD_TAGS.
 
-    tolerance and max_iterations apply to Meek only (see meek_stv).
-    max_iterations caps the keep-factor iterations of the whole count,
-    summed over every stage, not of each stage.
+    sv applies to positional only (default Borda); passing it with any
+    other rule raises PreconditionError. tolerance and max_iterations apply
+    to Meek only (see meek_stv). max_iterations caps the keep-factor
+    iterations of the whole count, summed over every stage, not of each
+    stage.
     """
+    if sv is not None and method != "positional":
+        raise PreconditionError(
+            f"a scoring vector applies to 'positional' only, not {method!r}"
+        )
     if method == "scottish":
         return scottish_stv(election)
     if method == "meek":

@@ -14,7 +14,9 @@ sets before and after the removal. They exercise different failure shapes:
 
 generate() returns the exact profile plus the designated removal and the
 expected before/after winner sets; the `methods` field names the tabulation
-rules the family is valid for.
+rules the family is valid for. Only the two IWVB* families read size
+parameters (all of a, b, c for STV_IWVB_STAR, only a for EAR_IWVB_STAR);
+generate() refuses any parameter its family does not read.
 """
 
 from __future__ import annotations
@@ -32,18 +34,6 @@ from .profiles import (
     selection_from_rankings,
 )
 from .rationals import rational
-
-FAMILIES = (
-    "STV_ILVB",
-    "EAR_ILVB",
-    "STV_IWVB",
-    "EAR_IWVB",
-    "STV_IWVB_STAR",
-    "EAR_IWVB_STAR",
-    "CC_IWVB",
-    "QPSC_LEFT",
-    "QPSC_RIGHT",
-)
 
 
 @dataclass(frozen=True)
@@ -75,20 +65,29 @@ _STAR_DEFAULTS = {2: (1000, 20, 13), 3: (1000, 20, 14), 4: (2000, 40, 31), 5: (4
 _EAR_STAR_DEFAULT_A = 1000
 
 
-def _blocks(prefix: str, count: int, party: str, base: int) -> list[Candidate]:
-    return [Candidate(base + i, f"{prefix}{i + 1}", party) for i in range(count)]
+def _blocks(party: str, count: int, base: int) -> list[Candidate]:
+    return [Candidate(base + i, f"{party}{i + 1}", party) for i in range(count)]
 
 
-def _election(candidates, ballots, k, title):
-    profile = PreferenceProfile.from_ballots(tuple(candidates), ballots)
-    return Election(profile, k, title)
+def _case(cands, ballots, k, title, removed, before, after, methods, options=None):
+    """Assemble a case: the election of `ballots`, the removal of the
+    (ranking, count) pairs `removed`, and the expected winner flip."""
+    election = Election(PreferenceProfile.from_ballots(tuple(cands), ballots), k, title)
+    return GeneratedCase(
+        election,
+        selection_from_rankings(election.profile, removed),
+        frozenset(before),
+        frozenset(after),
+        methods,
+        options or {},
+    )
 
 
 def _stv_ilvb(spec: GeneratorSpec) -> GeneratedCase:
     k = spec.k
     if k < 1:
         raise PreconditionError("STV_ILVB needs k >= 1")
-    cands = _blocks("A", k, "A", 0) + _blocks("B", k, "B", k) + _blocks("C", k, "C", 2 * k)
+    cands = _blocks("A", k, 0) + _blocks("B", k, k) + _blocks("C", k, 2 * k)
     ballots = []
     for i in range(k):
         a, b, c = i, k + i, 2 * k + i
@@ -99,17 +98,10 @@ def _stv_ilvb(spec: GeneratorSpec) -> GeneratedCase:
             ((c, a, b), 13),
             ((b,), 2),
         ]
-    election = _election(cands, ballots, k, f"stv-ilvb-k{k}")
-    removal = selection_from_rankings(
-        election.profile, [((k + i,), 2) for i in range(k)]
-    )
-    return GeneratedCase(
-        election,
-        removal,
-        frozenset(range(k)),
-        frozenset(range(2 * k, 3 * k)),
-        ("scottish", "meek"),
-        {},
+    return _case(
+        cands, ballots, k, f"stv-ilvb-k{k}",
+        [((k + i,), 2) for i in range(k)],
+        range(k), range(2 * k, 3 * k), ("scottish", "meek"),
     )
 
 
@@ -117,20 +109,15 @@ def _ear_ilvb(spec: GeneratorSpec) -> GeneratedCase:
     k = spec.k
     if k < 1:
         raise PreconditionError("EAR_ILVB needs k >= 1")
-    cands = _blocks("A", k, "A", 0) + _blocks("B", k, "B", k) + [Candidate(2 * k, "C", "C")]
+    cands = _blocks("A", k, 0) + _blocks("B", k, k) + [Candidate(2 * k, "C", "C")]
     ballots = []
     for i in range(k):
         ballots += [((i,), 8), ((k + i, i), 10 * k)]
     ballots.append(((2 * k,), 3 * k))
-    election = _election(cands, ballots, k, f"ear-ilvb-k{k}")
-    removal = selection_from_rankings(election.profile, [((2 * k,), 3 * k)])
-    return GeneratedCase(
-        election,
-        removal,
-        frozenset(range(k)),
-        frozenset(range(k, 2 * k)),
-        ("ear",),
-        {},
+    return _case(
+        cands, ballots, k, f"ear-ilvb-k{k}",
+        [((2 * k,), 3 * k)],
+        range(k), range(k, 2 * k), ("ear",),
     )
 
 
@@ -138,7 +125,7 @@ def _stv_iwvb(spec: GeneratorSpec) -> GeneratedCase:
     k = spec.k
     if k < 2:
         raise PreconditionError("STV_IWVB needs k >= 2")
-    cands = _blocks("A", k, "A", 0) + _blocks("B", k, "B", k)
+    cands = _blocks("A", k, 0) + _blocks("B", k, k)
     ballots = [
         ((0,), 14 * k - 12),
         ((0, k), 4 * k + 2),
@@ -151,15 +138,10 @@ def _stv_iwvb(spec: GeneratorSpec) -> GeneratedCase:
             ((i,), 10 * k),
             ((k + i,), 10 * k),
         ]
-    election = _election(cands, ballots, k, f"stv-iwvb-k{k}")
-    removal = selection_from_rankings(election.profile, [((0,), 14 * k - 12)])
-    return GeneratedCase(
-        election,
-        removal,
-        frozenset(range(k)),
-        frozenset(range(k, 2 * k)),
-        ("scottish", "meek"),
-        {},
+    return _case(
+        cands, ballots, k, f"stv-iwvb-k{k}",
+        [((0,), 14 * k - 12)],
+        range(k), range(k, 2 * k), ("scottish", "meek"),
     )
 
 
@@ -167,24 +149,15 @@ def _ear_iwvb(spec: GeneratorSpec) -> GeneratedCase:
     k = spec.k
     if k < 2:
         raise PreconditionError("EAR_IWVB needs k >= 2 (the construction has k-1 supported partners)")
-    cands = (
-        [Candidate(0, "A", "A")]
-        + _blocks("B", k - 1, "B", 1)
-        + _blocks("C", k, "C", k)
-    )
+    cands = [Candidate(0, "A", "A")] + _blocks("B", k - 1, 1) + _blocks("C", k, k)
     ballots = [((0,), 20 * k + 20)]
     for i in range(k - 1):
         ballots += [((1 + i,), 10), ((k + i, 1 + i), 20 * k)]
     ballots.append(((2 * k - 1,), 20 * k))
-    election = _election(cands, ballots, k, f"ear-iwvb-k{k}")
-    removal = selection_from_rankings(election.profile, [((0,), 20 * k + 20)])
-    return GeneratedCase(
-        election,
-        removal,
-        frozenset(range(k)),
-        frozenset(range(k, 2 * k)),
-        ("ear",),
-        {},
+    return _case(
+        cands, ballots, k, f"ear-iwvb-k{k}",
+        [((0,), 20 * k + 20)],
+        range(k), range(k, 2 * k), ("ear",),
     )
 
 
@@ -209,21 +182,17 @@ def _stv_iwvb_star(spec: GeneratorSpec) -> GeneratedCase:
             f"(a={a}, b={b}, c={c}) outside the valid region "
             f"k*b/(k+1) > c > k*b/(k+2) for k={k}"
         )
-    cands = [Candidate(0, "A", "A")] + _blocks("B", k - 1, "B", 1) + _blocks("C", k - 1, "C", k)
+    cands = [Candidate(0, "A", "A")] + _blocks("B", k - 1, 1) + _blocks("C", k - 1, k)
     ballots = [((0,), a)]
     for i in range(k - 1):
         ballots += [((0, 1 + i), b), ((k + i,), c)]
-    election = _election(cands, ballots, k, f"stv-iwvb-star-k{k}")
-    removal = selection_from_rankings(election.profile, [((0,), a)])
     # Under Meek the dynamic quota keeps falling after the B exclusions; the
     # construction holds only when c*k > b*(k-1), else a B re-crosses.
     methods = ("scottish", "meek") if c * k > b * (k - 1) else ("scottish",)
-    return GeneratedCase(
-        election,
-        removal,
-        frozenset(range(k)),
-        frozenset({0} | set(range(k, 2 * k - 1))),
-        methods,
+    return _case(
+        cands, ballots, k, f"stv-iwvb-star-k{k}",
+        [((0,), a)],
+        range(k), {0, *range(k, 2 * k - 1)}, methods,
         {"a": a, "b": b, "c": c},
     )
 
@@ -235,7 +204,7 @@ def _ear_iwvb_star(spec: GeneratorSpec) -> GeneratedCase:
     a = spec.a if spec.a is not None else _EAR_STAR_DEFAULT_A
     if a < 1:
         raise PreconditionError("EAR_IWVB_STAR needs a >= 1")
-    cands = [Candidate(0, "A", "A")] + _blocks("B", k - 1, "B", 1) + _blocks("C", k - 1, "C", k)
+    cands = [Candidate(0, "A", "A")] + _blocks("B", k - 1, 1) + _blocks("C", k - 1, k)
     # Weight of the [A, Ci, Bi] column. After the A bullets are removed and A
     # is seated, each Ci must reach the reduced quota (g+20)/(k+1) at rank 2
     # while each Bi (rank-2 support 20) stays short of it. 10k satisfies both
@@ -249,14 +218,10 @@ def _ear_iwvb_star(spec: GeneratorSpec) -> GeneratedCase:
             ((1 + i,), 10),
             ((k + i, 1 + i), 10),
         ]
-    election = _election(cands, ballots, k, f"ear-iwvb-star-k{k}")
-    removal = selection_from_rankings(election.profile, [((0,), a)])
-    return GeneratedCase(
-        election,
-        removal,
-        frozenset(range(k)),
-        frozenset({0} | set(range(k, 2 * k - 1))),
-        ("ear",),
+    return _case(
+        cands, ballots, k, f"ear-iwvb-star-k{k}",
+        [((0,), a)],
+        range(k), {0, *range(k, 2 * k - 1)}, ("ear",),
         {"a": a},
     )
 
@@ -265,7 +230,7 @@ def _cc_iwvb(spec: GeneratorSpec) -> GeneratedCase:
     k = spec.k
     if k < 2:
         raise PreconditionError("CC_IWVB needs k >= 2")
-    cands = _blocks("A", k, "A", 0) + _blocks("B", k, "B", k)
+    cands = _blocks("A", k, 0) + _blocks("B", k, k)
     ballots = [
         ((0,), 3),
         ((0, k), 1),
@@ -286,77 +251,68 @@ def _cc_iwvb(spec: GeneratorSpec) -> GeneratedCase:
         ((k - 1, k), 2),
         ((k, k - 1), 2),
     ]
-    election = _election(cands, ballots, k, f"cc-iwvb-k{k}")
-    removal = selection_from_rankings(election.profile, [((0,), 3)])
-    return GeneratedCase(
-        election,
-        removal,
-        frozenset(range(k)),
-        frozenset(range(k, 2 * k)),
-        ("cc-om", "cc-pm"),
-        {},
+    return _case(
+        cands, ballots, k, f"cc-iwvb-k{k}",
+        [((0,), 3)],
+        range(k), range(k, 2 * k), ("cc-om", "cc-pm"),
     )
 
 
+# the four single-candidate parties of both fixed k=2 QPSC constructions
+_ABCD = tuple(Candidate(i, name, name) for i, name in enumerate("ABCD"))
+
+
 def _qpsc_left(spec: GeneratorSpec) -> GeneratedCase:
-    if spec.k not in (2,):
+    if spec.k != 2:
         raise PreconditionError("QPSC_LEFT is a fixed k=2 construction")
-    cands = [
-        Candidate(0, "A", "A"),
-        Candidate(1, "B", "B"),
-        Candidate(2, "C", "C"),
-        Candidate(3, "D", "D"),
-    ]
     ballots = [((0,), 333), ((1,), 1), ((2, 3), 333), ((3, 2), 332)]
-    election = _election(cands, ballots, 2, "qpsc-left")
-    removal = selection_from_rankings(election.profile, [((1,), 1)])
     sv = ScoringVector((rational(1), rational(1, 100)))
-    return GeneratedCase(
-        election,
-        removal,
-        frozenset({2, 3}),
-        frozenset({0, 2}),
-        ("qpsc",),
+    return _case(
+        _ABCD, ballots, 2, "qpsc-left",
+        [((1,), 1)],
+        {2, 3}, {0, 2}, ("qpsc",),
         {"sv": sv, "q_mode": "droop"},
     )
 
 
 def _qpsc_right(spec: GeneratorSpec) -> GeneratedCase:
-    if spec.k not in (2,):
+    if spec.k != 2:
         raise PreconditionError("QPSC_RIGHT is a fixed k=2 construction")
-    cands = [
-        Candidate(0, "A", "A"),
-        Candidate(1, "B", "B"),
-        Candidate(2, "C", "C"),
-        Candidate(3, "D", "D"),
-    ]
     ballots = [((0,), 1), ((2, 3), 666), ((1,), 332)]
-    election = _election(cands, ballots, 2, "qpsc-right")
-    removal = selection_from_rankings(election.profile, [((0,), 1)])
     sv = ScoringVector((rational(1), rational(1, 1000)))
-    return GeneratedCase(
-        election,
-        removal,
-        frozenset({1, 2}),
-        frozenset({2, 3}),
-        ("qpsc",),
+    return _case(
+        _ABCD, ballots, 2, "qpsc-right",
+        [((0,), 1)],
+        {1, 2}, {2, 3}, ("qpsc",),
         {"sv": sv, "q_mode": "droop"},
     )
 
 
-_BUILDERS = {
-    "STV_ILVB": _stv_ilvb,
-    "EAR_ILVB": _ear_ilvb,
-    "STV_IWVB": _stv_iwvb,
-    "EAR_IWVB": _ear_iwvb,
-    "STV_IWVB_STAR": _stv_iwvb_star,
-    "EAR_IWVB_STAR": _ear_iwvb_star,
-    "CC_IWVB": _cc_iwvb,
-    "QPSC_LEFT": _qpsc_left,
-    "QPSC_RIGHT": _qpsc_right,
+# family -> (builder, the size parameters among a, b, c that it reads)
+_FAMILY_TABLE = {
+    "STV_ILVB": (_stv_ilvb, ()),
+    "EAR_ILVB": (_ear_ilvb, ()),
+    "STV_IWVB": (_stv_iwvb, ()),
+    "EAR_IWVB": (_ear_iwvb, ()),
+    "STV_IWVB_STAR": (_stv_iwvb_star, ("a", "b", "c")),
+    "EAR_IWVB_STAR": (_ear_iwvb_star, ("a",)),
+    "CC_IWVB": (_cc_iwvb, ()),
+    "QPSC_LEFT": (_qpsc_left, ()),
+    "QPSC_RIGHT": (_qpsc_right, ()),
 }
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 def generate(spec: GeneratorSpec) -> GeneratedCase:
-    """Build the family's election, removal selection, and expected winner flip."""
-    return _BUILDERS[spec.family](spec)
+    """Build the family's election, removal selection, and expected winner flip.
+
+    Raises PreconditionError for a size parameter the family does not read."""
+    build, reads = _FAMILY_TABLE[spec.family]
+    for name in ("a", "b", "c"):
+        value = getattr(spec, name)
+        if value is not None and name not in reads:
+            raise PreconditionError(
+                f"{spec.family} does not read {name} (got {name}={value}); "
+                f"it reads {', '.join(reads) or 'no size parameter'}"
+            )
+    return build(spec)

@@ -56,6 +56,13 @@ def test_tabulate_positional_with_vector(capsys):
     )
     assert code == 0
     assert "winners:" in out
+    # a scoring vector means nothing to the other rules
+    code, out, err = run(
+        capsys, "tabulate", str(EAST_AYRSHIRE), "-m", "scottish", "--sv", "1,0",
+    )
+    assert code == 2
+    assert "positional" in err
+    assert out == ""
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
@@ -228,13 +235,24 @@ def test_gen_rejects_unknown_family(capsys):
     assert "unknown family" in err
 
 
-def test_gen_rejects_bad_parameters(capsys):
+def test_gen_rejects_bad_parameters(tmp_path, capsys):
     code, _, err = run(
         capsys, "gen", "stv-iwvb-star", "--k", "3",
         "--a", "1000", "--b", "20", "--c", "16",
     )
     assert code == 2
     assert "error:" in err
+    # a size parameter the family does not read is refused, not dropped
+    for argv, name in (
+        (["stv-ilvb", "--k", "2", "--a", "5"], "a"),
+        (["ear-iwvb-star", "--k", "2", "--b", "3"], "b"),
+    ):
+        out = tmp_path / "case.blt"
+        code, _, err = run(capsys, "gen", *argv, "--out", str(out))
+        assert code == 2
+        assert f"does not read {name}" in err
+        assert not out.exists()
+        assert not out.with_suffix(".manifest.json").exists()
 
 
 # --------------------------------------------------------------------- psc
@@ -449,6 +467,18 @@ def test_batch_rejects_bad_config(tmp_path, corpus, capsys):
     code, _, err = run(capsys, "batch", str(corpus), "--config", str(cfg))
     assert code == 2
     assert "unknown method" in err
+    # a repeated key is refused, not overridden by its last line
+    # before the outputs of an earlier run are unlinked
+    cfg.write_text("methods=scottish\nsigma_l=2\nmethods=meek\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "records.jsonl").write_text("earlier\n")
+    code, _, err = run(
+        capsys, "batch", str(corpus), "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 2
+    assert f"{cfg}:3: duplicate key 'methods'" in err
+    assert (out_dir / "records.jsonl").read_text() == "earlier\n"
     # settings are checked before any election runs or any output is written
     cfg.write_text("sigma_l=0\n")
     code, _, err = run(capsys, "batch", str(corpus), "--config", str(cfg))

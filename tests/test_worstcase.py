@@ -125,6 +125,14 @@ def test_family_k_floor_validation():
         generate(GeneratorSpec("QPSC_LEFT", 3))
 
 
+def test_unread_size_parameter_rejected():
+    # only the IWVB* families read a, b, c; the others refuse them
+    with pytest.raises(PreconditionError, match="does not read c"):
+        generate(GeneratorSpec("CC_IWVB", 2, c=1))
+    with pytest.raises(PreconditionError, match="does not read b"):
+        generate(GeneratorSpec("EAR_IWVB_STAR", 2, a=5, b=3))
+
+
 def test_unknown_family_rejected():
     with pytest.raises(PreconditionError):
         GeneratorSpec("NOT_A_FAMILY", 2)
