@@ -68,12 +68,47 @@ class RoundEvent:
     candidate: int
 
 
+class _BuiltOnRead:
+    """A Round field given as an exact value or as a one-entry RationalsOver.
+
+    The entry is built the first time the field is read and kept, so a count
+    that keeps its quota or exhausted weight as an integer over a
+    denominator builds no rational for a round nobody reads. Reading with
+    no instance raises AttributeError, which tells dataclass the field has
+    no default.
+    """
+
+    def __set_name__(self, owner, name):
+        self._slot = "_" + name
+
+    def __get__(self, rnd, owner=None):
+        if rnd is None:
+            raise AttributeError(self._slot[1:])
+        value = getattr(rnd, self._slot)
+        if isinstance(value, RationalsOver):
+            value = value[0]
+            setattr(rnd, self._slot, value)
+        return value
+
+    def __set__(self, rnd, value):
+        setattr(rnd, self._slot, value)
+
+
 @dataclass
 class Round:
+    """One round of a count, compared by value.
+
+    totals and keep_factors (Meek's snapshot) map candidate ids to exact
+    values, quota (None for the one-round rules) and exhausted are exact
+    values. The integer counts give the mappings as RationalsOver and the
+    quota and exhausted weight as one-entry RationalsOver, so each rational
+    is built only when it is read.
+    """
+
     number: int
     totals: Mapping[int, object]
-    quota: object | None
-    exhausted: object
+    quota: object | None = _BuiltOnRead()
+    exhausted: object = _BuiltOnRead()
     events: list[RoundEvent] = field(default_factory=list)
     threshold: int | None = None  # EAR rank threshold in force
     keep_factors: Mapping[int, object] | None = None  # Meek snapshot
@@ -141,50 +176,60 @@ def hare_quota(total_ballots: int, k: int):
     return rational(total_ballots, k)
 
 
+# The STV counts keep their hopefuls as a list in id order, and these three
+# helpers remove a candidate from it on election or elimination.
+
+
 def _elect_crossers(
-    reached, totals, status, elected: list[int], k: int,
+    totals, quota, hopefuls: list[int], elected: list[int], k: int,
     rnd: Round, tie_events: list[TieEvent],
 ) -> list[int]:
-    """Elect the hopefuls c with reached(c), highest total first, while seats remain.
+    """Elect the hopefuls whose total reaches quota, highest first, while seats remain.
 
     totals maps each candidate to a total in whatever ordered unit the count
-    keeps. A tie on the last open seat's total goes to the lower id and is
-    recorded as an "election" tie. Returns the candidates elected, in order.
+    keeps, and quota is in the same unit. A tie on the last open seat's
+    total goes to the lower id and is recorded as an "election" tie.
+    Returns the candidates elected, in order.
     """
+    crossers = [c for c in hopefuls if totals[c] >= quota]
+    if not crossers:
+        return crossers
     crossers = _take_first(
-        (c for c in status if status[c] == HOPEFUL and reached(c)),
-        k - len(elected), totals.__getitem__, "election", rnd.number, tie_events,
+        crossers, k - len(elected), totals.__getitem__, "election", rnd.number,
+        tie_events,
     )
     for c in crossers:
-        status[c] = ELECTED
+        hopefuls.remove(c)
         elected.append(c)
         rnd.events.append(RoundEvent("elected", c))
     return crossers
 
 
-def _elect_remaining(status, elected: list[int], k: int, rnd: Round) -> bool:
+def _elect_remaining(
+    hopefuls: list[int], elected: list[int], k: int, rnd: Round
+) -> bool:
     """If the hopefuls exactly fill the open seats, elect them, lowest id first."""
-    hopefuls = [c for c in status if status[c] == HOPEFUL]
     if len(hopefuls) != k - len(elected):
         return False
-    for c in sorted(hopefuls):
-        status[c] = ELECTED
+    for c in hopefuls:
         elected.append(c)
         rnd.events.append(RoundEvent("elected", c))
+    hopefuls.clear()
     return True
 
 
-def _eliminate_lowest(totals, status, rnd: Round, tie_events: list[TieEvent]) -> int:
+def _eliminate_lowest(
+    totals, hopefuls: list[int], rnd: Round, tie_events: list[TieEvent]
+) -> int:
     """Eliminate the hopeful with the lowest total and return them.
 
     totals is as for _elect_crossers. A tie goes to the lower id and is
     recorded as an "elimination" tie.
     """
     [out] = _take_first(
-        (c for c in status if status[c] == HOPEFUL),
-        1, lambda c: -totals[c], "elimination", rnd.number, tie_events,
+        hopefuls, 1, lambda c: -totals[c], "elimination", rnd.number, tie_events,
     )
-    status[out] = ELIMINATED
+    hopefuls.remove(out)
     rnd.events.append(RoundEvent("eliminated", out))
     return out
 
@@ -218,7 +263,8 @@ def scottish_stv(election: Election) -> TabulationResult:
     quota = droop_quota(profile.total_ballots, k)
 
     ids = [c.id for c in profile.candidates]
-    status = {cid: HOPEFUL for cid in ids}
+    hopefuls = list(ids)
+    status = {cid: HOPEFUL for cid in ids}  # read by next_usable
     firsts: dict[int, list[tuple[tuple[int, ...], int, int]]] = {
         cid: [] for cid in ids
     }
@@ -274,16 +320,21 @@ def scottish_stv(election: Election) -> TabulationResult:
 
     while True:
         rnd = Round(
-            len(rounds) + 1, RationalsOver(totals, den), quota, rational(exhausted, den)
+            len(rounds) + 1,
+            RationalsOver(totals, den),
+            quota,
+            RationalsOver((exhausted,), den),
         )
         rounds.append(rnd)
 
         quota_scaled = quota * den
-        pending_surplus += _elect_crossers(
-            lambda c: totals[c] >= quota_scaled,
-            totals, status, elected, k, rnd, tie_events,
+        crossers = _elect_crossers(
+            totals, quota_scaled, hopefuls, elected, k, rnd, tie_events
         )
-        if len(elected) == k or _elect_remaining(status, elected, k, rnd):
+        for c in crossers:
+            status[c] = ELECTED
+        pending_surplus += crossers
+        if len(elected) == k or _elect_remaining(hopefuls, elected, k, rnd):
             break
 
         if pending_surplus:
@@ -299,7 +350,8 @@ def scottish_stv(election: Election) -> TabulationResult:
                 totals[c] = quota * den
             rnd.events.append(RoundEvent("surplus", c))
         else:
-            c = _eliminate_lowest(totals, status, rnd, tie_events)
+            c = _eliminate_lowest(totals, hopefuls, rnd, tie_events)
+            status[c] = ELIMINATED
             move_pile(c, 1, 1)
             totals[c] = 0
 
@@ -362,7 +414,7 @@ def meek_stv(
     tolerance_scaled = floor_rational(tolerance * quota_den)
 
     ids = [c.id for c in profile.candidates]
-    status = {cid: HOPEFUL for cid in ids}
+    hopefuls = list(ids)
     keep = [D] * len(ids)
 
     def group() -> list[tuple[tuple[int, ...], int]]:
@@ -410,20 +462,20 @@ def meek_stv(
         rnd = Round(
             len(rounds) + 1,
             RationalsOver(totals, scale),
-            rational(quota_num, quota_den),
-            rational(exhausted, scale),
+            RationalsOver((quota_num,), quota_den),
+            RationalsOver((exhausted,), scale),
             keep_factors=RationalsOver(keep, D),
         )
         rounds.append(rnd)
-        if _elect_remaining(status, elected, k, rnd):
+        if _elect_remaining(hopefuls, elected, k, rnd):
             break
 
         # only a round that fills the seats outright is not an iteration
         if len(rounds) > max_iterations:
             raise MeekNonConvergenceError(max_iterations)
+        # T*(k+1) >= quota_num exactly when T >= ceil(quota_num / (k+1))
         crossers = _elect_crossers(
-            lambda c: totals[c] * (k + 1) >= quota_num,
-            totals, status, elected, k, rnd, tie_events,
+            totals, -(-quota_num // (k + 1)), hopefuls, elected, k, rnd, tie_events
         )
         if len(elected) == k:
             break
@@ -433,7 +485,7 @@ def meek_stv(
             for c in elected
         )
         if converged:
-            keep[_eliminate_lowest(totals, status, rnd, tie_events)] = 0
+            keep[_eliminate_lowest(totals, hopefuls, rnd, tie_events)] = 0
             groups = group()
             continue
 
@@ -757,23 +809,30 @@ def tabulate(
     *,
     sv: ScoringVector | None = None,
     tolerance=None,
-    max_iterations: int = DEFAULT_MEEK_MAX_ITERATIONS,
+    max_iterations: int | None = None,
 ) -> TabulationResult:
     """Run one of the five rules by tag; see METHOD_TAGS.
 
-    sv applies to positional only (default Borda); passing it with any
-    other rule raises PreconditionError. tolerance and max_iterations apply
-    to Meek only (see meek_stv). max_iterations caps the keep-factor
-    iterations of the whole count, summed over every stage, not of each
-    stage.
+    sv applies to positional only (default Borda). tolerance and
+    max_iterations apply to meek only (see meek_stv), and None means Meek's
+    default; max_iterations caps the keep-factor iterations of the whole
+    count, summed over every stage, not of each stage. Passing sv,
+    tolerance or max_iterations with any other rule raises
+    PreconditionError.
     """
     if sv is not None and method != "positional":
         raise PreconditionError(
             f"a scoring vector applies to 'positional' only, not {method!r}"
         )
+    if (tolerance is not None or max_iterations is not None) and method != "meek":
+        raise PreconditionError(
+            f"tolerance and max_iterations apply to 'meek' only, not {method!r}"
+        )
     if method == "scottish":
         return scottish_stv(election)
     if method == "meek":
+        if max_iterations is None:
+            max_iterations = DEFAULT_MEEK_MAX_ITERATIONS
         return meek_stv(election, tolerance=tolerance, max_iterations=max_iterations)
     if method == "ear":
         return ear(election)

@@ -33,10 +33,11 @@ class RationalsOver(Mapping):
     """The read-only mapping {i: rational(nums[i], den) for i in range(len(nums))}.
 
     Scottish STV, Meek and EAR count in integers over one denominator, and a
-    Round's totals (and Meek's keep factors) are this mapping of them: a
-    rational is built only when an entry is read, so a search probe that keeps
-    only the winners builds none. nums is copied so a Round never changes, to
-    a list, since freed short tuples linger on CPython's tuple free list.
+    Round's totals (and Meek's keep factors) are this mapping of them, its
+    quota and exhausted weight a one-entry one: a rational is built only when
+    an entry is read, so a search probe that keeps only the winners builds
+    none. nums is copied so a Round never changes, to a list, since freed
+    short tuples linger on CPython's tuple free list.
     """
 
     __slots__ = ("_nums", "_den")

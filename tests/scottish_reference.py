@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from blocaudit.methods import (
     ELECTED,
+    ELIMINATED,
     HOPEFUL,
     Round,
     RoundEvent,
@@ -18,12 +19,52 @@ from blocaudit.methods import (
     TabulationResult,
     TieEvent,
     WinnerSet,
-    _elect_crossers,
-    _eliminate_lowest,
     _fate_tie_flag,
+    _take_first,
     droop_quota,
 )
 from blocaudit.rationals import ONE, ZERO, rational
+
+
+# The election and elimination helpers as first written, scanning the status
+# of every candidate each round, so this reference does not share them with
+# the count it checks.
+
+
+def _elect_crossers(
+    reached, totals, status, elected: list[int], k: int,
+    rnd: Round, tie_events: list[TieEvent],
+) -> list[int]:
+    """Elect the hopefuls c with reached(c), highest total first, while seats remain.
+
+    totals maps each candidate to a total in whatever ordered unit the count
+    keeps. A tie on the last open seat's total goes to the lower id and is
+    recorded as an "election" tie. Returns the candidates elected, in order.
+    """
+    crossers = _take_first(
+        (c for c in status if status[c] == HOPEFUL and reached(c)),
+        k - len(elected), totals.__getitem__, "election", rnd.number, tie_events,
+    )
+    for c in crossers:
+        status[c] = ELECTED
+        elected.append(c)
+        rnd.events.append(RoundEvent("elected", c))
+    return crossers
+
+
+def _eliminate_lowest(totals, status, rnd: Round, tie_events: list[TieEvent]) -> int:
+    """Eliminate the hopeful with the lowest total and return them.
+
+    totals is as for _elect_crossers. A tie goes to the lower id and is
+    recorded as an "elimination" tie.
+    """
+    [out] = _take_first(
+        (c for c in status if status[c] == HOPEFUL),
+        1, lambda c: -totals[c], "elimination", rnd.number, tie_events,
+    )
+    status[out] = ELIMINATED
+    rnd.events.append(RoundEvent("eliminated", out))
+    return out
 
 
 def reference_scottish_stv(election) -> TabulationResult:

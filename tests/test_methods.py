@@ -12,6 +12,7 @@ from blocaudit import (
     EnumerationGuardError,
     GeneratorSpec,
     MeekNonConvergenceError,
+    PreconditionError,
     ScoringVector,
     ballots_ranking_only,
     borda_vector,
@@ -32,6 +33,7 @@ from blocaudit import (
 )
 import blocaudit.methods as methods
 import blocaudit.rationals as rationals
+from blocaudit.methods import TieEvent
 from blocaudit.rationals import ONE, ZERO, rational
 from cc_reference import reference_cc
 from conftest import assert_rounds_match, random_profile, round1
@@ -135,9 +137,50 @@ def test_scottish_elimination_tie_breaks_to_lowest_id():
 def test_scottish_tie_flag_set_when_tie_decides_seats():
     # dead heat for a single seat: the id tie-break picks the winner
     election = make_election(["a", "b"], [((0,), 5), ((1,), 5)], 1)
-    winners, _ = tabulate(election, "scottish")
+    winners, log = tabulate(election, "scottish")
     assert winners.tie_flag
     assert len(winners.members) == 1
+    # neither reaches the quota 6, so the tie is broken by eliminating a. A
+    # Scottish count never logs an "election" tie: with the integer quota
+    # floor(V/(k+1)) + 1, at most k candidates ever hold a quota
+    assert log.tie_events == [TieEvent(1, "elimination", (0, 1), (0,))]
+    assert winners.members == {1}
+
+
+# The tie paths not pinned above, of the shared election and elimination
+# helpers and of Scottish's surplus order: (rule, candidates, ballots, k,
+# tie events, winners, tie flag).
+TIE_PATHS = {
+    # a is elected at once and its keep halves to 4/8, which brings b and c
+    # to the quota 4 together with one seat left
+    "meek-election-last-seat": (
+        "meek", ["a", "b", "c"],
+        [((0, 1), 4), ((0, 2), 4), ((1,), 2), ((2,), 2)], 2,
+        [TieEvent(2, "election", (1, 2), (1,))], {0, 1}, True,
+    ),
+    # a and b both reach the quota 4 with a surplus of 1; a's goes first
+    # and lifts c to the quota
+    "scottish-surplus-order": (
+        "scottish", ["a", "b", "c", "d"],
+        [((0, 2), 5), ((1, 3), 5), ((2,), 3), ((3,), 2)], 3,
+        [TieEvent(1, "surplus_order", (0, 1), (0,))], {0, 1, 2}, False,
+    ),
+    # nobody reaches the quota 5 and c, d, e hold one vote each
+    "meek-three-way-elimination": (
+        "meek", ["a", "b", "c", "d", "e"],
+        [((0,), 4), ((1,), 3), ((2, 3), 1), ((3,), 1), ((4,), 1)], 1,
+        [TieEvent(1, "elimination", (2, 3, 4), (2,))], {0}, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TIE_PATHS)
+def test_tie_paths_log_the_exact_event(case):
+    method, names, ballots, k, ties, members, flag = TIE_PATHS[case]
+    winners, log = tabulate(make_election(names, ballots, k), method)
+    assert log.tie_events == ties
+    assert winners.members == members
+    assert winners.tie_flag is flag
 
 
 def test_scottish_all_remaining_fill_seats():
@@ -399,14 +442,51 @@ def test_meek_log_builds_totals_and_keep_factors_when_read(
     monkeypatch.setattr(methods, "rational", counting)
     monkeypatch.setattr(rationals, "rational", counting)
     rounds = meek_stv(north_ayrshire).log.rounds
-    # the default tolerance and the initial quota once, then each round's
-    # quota and exhausted weight
-    assert len(calls) <= 2 + 2 * len(rounds)
+    # the default tolerance and the initial quota, once per count
+    assert len(calls) <= 2
     built = len(calls)
     last = rounds[-1]
     assert last.totals[0] == last.totals[0]
     assert last.keep_factors[0] <= ONE
     assert len(calls) == built + 3
+
+
+@pytest.mark.parametrize(
+    "count, ward",
+    [(meek_stv, "north_ayrshire"), (scottish_stv, "east_ayrshire")],
+)
+def test_unread_round_scalars_are_not_built(count, ward, request, monkeypatch):
+    election = request.getfixturevalue(ward)
+    fresh = count(election).log.rounds
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rational(*args)
+
+    monkeypatch.setattr(methods, "rational", counting)
+    monkeypatch.setattr(rationals, "rational", counting)
+    rounds = count(election).log.rounds
+    # Meek builds its default tolerance and initial quota once per count;
+    # nothing depends on the number of rounds
+    assert len(rounds) > 2
+    assert len(calls) <= 2
+    for mine, theirs in zip(rounds, fresh, strict=True):
+        for field in ("quota", "exhausted"):
+            got, want = getattr(mine, field), getattr(theirs, field)
+            assert got == want
+            assert type(got) is type(want)
+
+
+def test_tabulate_refuses_settings_of_another_rule(east_ayrshire):
+    # a scoring vector is positional's, a tolerance and an iteration cap Meek's
+    for method, settings in (
+        ("scottish", {"sv": plurality_vector(east_ayrshire.profile.m)}),
+        ("scottish", {"tolerance": rational(1, 2)}),
+        ("ear", {"max_iterations": -5}),
+    ):
+        with pytest.raises(PreconditionError):
+            tabulate(east_ayrshire, method, **settings)
 
 
 # --------------------------------------------------------------------- EAR
