@@ -584,11 +584,8 @@ def oracle_ilvb(
     """
     profile = election.profile
     winners = _run(method, election).winners.members
-    loser_types = [
-        (idx, bt.multiplicity)
-        for idx, bt in enumerate(profile.ballots)
-        if not bt.ranked_set & winners
-    ]
+    losers = frozenset(range(profile.m)) - winners
+    loser_types = ballots_ranking_only(profile, losers).entries
     budget = 1
     for _, mult in loser_types:
         budget *= mult + 1

@@ -5,12 +5,12 @@ holding per-round exact vote totals and the events that produced them.
 
 Tie handling: one deterministic rule breaks every tie, lowest candidate id
 first (_take_first) and the lexicographically smallest committee first
-(first_best_committee). Scottish, Meek and EAR record each tie-break as a
-TieEvent in the log, and their WinnerSet.tie_flag is raised only when some
-recorded tie actually separated candidates into different final fates (one
-elected, another not). A tie whose participants all won, or all lost, is
-bookkeeping order and does not taint the outcome; it stays visible in the
-log either way. The one-round rules flag a tie at the seat boundary.
+(first_best_committee). Scottish, Meek, EAR and positional log each
+tie-break as a TieEvent; cc-om, cc-pm and qpsc flag a tied committee without
+one. The STV and EAR counts raise WinnerSet.tie_flag only when a logged tie
+separated candidates into different final fates (one elected, another not);
+a tie whose participants all won, or all lost, is bookkeeping order and
+stays visible in the log. Positional flags a tie at the seat boundary.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ from .profiles import _validate_removal
 from .rationals import (
     ONE, ZERO, RationalsOver, decimal_string, floor_rational, rational,
 )
-
-HOPEFUL = "hopeful"
-ELECTED = "elected"
-ELIMINATED = "eliminated"
 
 CC_MODELS = {"cc-om": "om", "cc-pm": "pm"}  # Chamberlin-Courant tag -> model
 # The rules audits run; positional scoring needs a caller's vector.
@@ -141,6 +137,14 @@ def _result(method: str, quota, elected, rounds, tie_events, notes=()):
     return TabulationResult(winners, log)
 
 
+def _one_round(method: str, winners, totals, quota=None, tie_events=(), notes=()):
+    """The result of a one-round rule: one round electing the winners in id order."""
+    events = [RoundEvent("elected", c) for c in sorted(winners.members)]
+    rnd = Round(1, totals, quota, ZERO, events)
+    log = RoundLog(method, quota, [rnd], list(tie_events), tuple(notes))
+    return TabulationResult(winners, log)
+
+
 def _take_first(
     candidates: Iterable[int], n: int, value, kind: str, round_number: int, tie_events
 ) -> list[int]:
@@ -176,12 +180,12 @@ def hare_quota(total_ballots: int, k: int):
     return rational(total_ballots, k)
 
 
-# The STV counts keep their hopefuls as a list in id order, and these three
-# helpers remove a candidate from it on election or elimination.
+# The STV counts keep their hopefuls as a set, and these three helpers
+# remove a candidate from it on election or elimination.
 
 
 def _elect_crossers(
-    totals, quota, hopefuls: list[int], elected: list[int], k: int,
+    totals, quota, hopefuls: set[int], elected: list[int], k: int,
     rnd: Round, tie_events: list[TieEvent],
 ) -> list[int]:
     """Elect the hopefuls whose total reaches quota, highest first, while seats remain.
@@ -206,12 +210,12 @@ def _elect_crossers(
 
 
 def _elect_remaining(
-    hopefuls: list[int], elected: list[int], k: int, rnd: Round
+    hopefuls: set[int], elected: list[int], k: int, rnd: Round
 ) -> bool:
     """If the hopefuls exactly fill the open seats, elect them, lowest id first."""
     if len(hopefuls) != k - len(elected):
         return False
-    for c in hopefuls:
+    for c in sorted(hopefuls):
         elected.append(c)
         rnd.events.append(RoundEvent("elected", c))
     hopefuls.clear()
@@ -219,7 +223,7 @@ def _elect_remaining(
 
 
 def _eliminate_lowest(
-    totals, hopefuls: list[int], rnd: Round, tie_events: list[TieEvent]
+    totals, hopefuls: set[int], rnd: Round, tie_events: list[TieEvent]
 ) -> int:
     """Eliminate the hopeful with the lowest total and return them.
 
@@ -263,8 +267,7 @@ def scottish_stv(election: Election) -> TabulationResult:
     quota = droop_quota(profile.total_ballots, k)
 
     ids = [c.id for c in profile.candidates]
-    hopefuls = list(ids)
-    status = {cid: HOPEFUL for cid in ids}  # read by next_usable
+    hopefuls = set(ids)
     firsts: dict[int, list[tuple[tuple[int, ...], int, int]]] = {
         cid: [] for cid in ids
     }
@@ -284,7 +287,7 @@ def scottish_stv(election: Election) -> TabulationResult:
 
     def next_usable(ranking: tuple[int, ...], pos: int) -> int | None:
         for idx in range(pos + 1, len(ranking)):
-            if status[ranking[idx]] == HOPEFUL:
+            if ranking[idx] in hopefuls:
                 return idx
         return None
 
@@ -328,12 +331,9 @@ def scottish_stv(election: Election) -> TabulationResult:
         rounds.append(rnd)
 
         quota_scaled = quota * den
-        crossers = _elect_crossers(
+        pending_surplus += _elect_crossers(
             totals, quota_scaled, hopefuls, elected, k, rnd, tie_events
         )
-        for c in crossers:
-            status[c] = ELECTED
-        pending_surplus += crossers
         if len(elected) == k or _elect_remaining(hopefuls, elected, k, rnd):
             break
 
@@ -351,7 +351,6 @@ def scottish_stv(election: Election) -> TabulationResult:
             rnd.events.append(RoundEvent("surplus", c))
         else:
             c = _eliminate_lowest(totals, hopefuls, rnd, tie_events)
-            status[c] = ELIMINATED
             move_pile(c, 1, 1)
             totals[c] = 0
 
@@ -365,7 +364,7 @@ def scottish_stv(election: Election) -> TabulationResult:
 def meek_stv(
     election: Election,
     tolerance=None,
-    max_iterations: int = DEFAULT_MEEK_MAX_ITERATIONS,
+    max_iterations: int | None = None,
 ) -> TabulationResult:
     """Keep-factor STV with a dynamic quota.
 
@@ -375,8 +374,10 @@ def meek_stv(
     quota/votes until every elected total sits within tolerance (an exact
     rational, default 1e-9) of quota. When no progress is possible the
     lowest hopeful is excluded. max_iterations caps the keep-factor
-    iterations of the whole count, summed over every stage rather than per
-    stage; passing it raises MeekNonConvergenceError.
+    iterations of the whole count (default DEFAULT_MEEK_MAX_ITERATIONS),
+    summed over every stage rather than per stage; passing it raises
+    MeekNonConvergenceError. A negative tolerance or a max_iterations below
+    1 raises PreconditionError.
 
     The count runs in exact integer fixed point, after Hill, Wichmann and
     Woodall, "Algorithm 123", Computer Journal 30(3), 1987. A keep factor
@@ -403,6 +404,14 @@ def meek_stv(
     k = election.k
     if tolerance is None:
         tolerance = rational(1, 10**9)
+    if max_iterations is None:
+        max_iterations = DEFAULT_MEEK_MAX_ITERATIONS
+    if tolerance < 0:
+        raise PreconditionError(f"Meek tolerance must be >= 0, got {tolerance}")
+    if max_iterations < 1:
+        raise PreconditionError(
+            f"Meek max_iterations must be >= 1, got {max_iterations}"
+        )
     total = profile.total_ballots
     D = MEEK_KEEP_DENOMINATOR
     scale = D ** max(len(bt.ranking) for bt in profile.ballots)
@@ -414,7 +423,7 @@ def meek_stv(
     tolerance_scaled = floor_rational(tolerance * quota_den)
 
     ids = [c.id for c in profile.candidates]
-    hopefuls = list(ids)
+    hopefuls = set(ids)
     keep = [D] * len(ids)
 
     def group() -> list[tuple[tuple[int, ...], int]]:
@@ -525,13 +534,13 @@ def ear(election: Election) -> TabulationResult:
     adds one position per type and an election moves its supporters' counts
     into one new class per source class. Each support is an integer
     numerator over den, the lcm of the live classes' factor denominators,
-    so a contender is one with support * (k + 1) >= V * den.
+    so a contender is one with support * qd >= qn * den for the quota qn/qd.
     """
     profile = election.profile
     k = election.k
     m = profile.m
-    total = profile.total_ballots
-    quota = exact_droop_quota(total, k)
+    quota = exact_droop_quota(profile.total_ballots, k)
+    qn, qd = int(quota.numerator), int(quota.denominator)
 
     ids = [c.id for c in profile.candidates]
     rankings = [bt.ranking for bt in profile.ballots]
@@ -559,7 +568,7 @@ def ear(election: Election) -> TabulationResult:
         if j <= m:
             contenders = [
                 c for c in ids
-                if c not in elected and support[c] * (k + 1) >= total * den
+                if c not in elected and support[c] * qd >= qn * den
             ]
             if not contenders:
                 for t, ranking in enumerate(rankings):
@@ -580,8 +589,8 @@ def ear(election: Election) -> TabulationResult:
             tie_events,
         )
         # (support - quota) / support of the chosen over den, as (num, den)
-        over = support[chosen] * (k + 1)
-        scale = (over - total * den, over) if j <= m else (0, 1)
+        over = support[chosen] * qd
+        scale = (over - qn * den, over) if j <= m else (0, 1)
         moved: dict[int, int] = {}  # source class -> its rescaled class
         for t, ranking in enumerate(rankings):
             top = ranking[:j]
@@ -645,6 +654,15 @@ def cc_score(profile: PreferenceProfile, committee: Iterable[int], model: str) -
     return score
 
 
+def committees(m: int, k: int) -> Iterable[tuple[int, ...]]:
+    """Size-k committees of 0..m-1 in lexicographic order; m <= MAX_ENUM_CANDIDATES."""
+    if m > MAX_ENUM_CANDIDATES:
+        raise EnumerationGuardError(
+            f"committee enumeration needs m <= {MAX_ENUM_CANDIDATES} candidates, got {m}"
+        )
+    return itertools.combinations(range(m), k)
+
+
 def _cc_scores(
     ballots: Sequence[BallotType], m: int, k: int, model: str
 ) -> list[int]:
@@ -659,10 +677,7 @@ def _cc_scores(
     """
     if model not in ("om", "pm"):
         raise ValueError(f"model must be 'om' or 'pm', got {model!r}")
-    if m > MAX_ENUM_CANDIDATES:
-        raise EnumerationGuardError(
-            f"committee enumeration needs m <= {MAX_ENUM_CANDIDATES} candidates, got {m}"
-        )
+    enumeration = committees(m, k)
     unranked = [
         bt.multiplicity * (m - len(bt.ranking) - 1) if model == "om" else 0
         for bt in ballots
@@ -675,7 +690,7 @@ def _cc_scores(
         return [sum(col) for col in cols]  # max() of a single int raises
     return [
         sum(map(max, *(cols[c] for c in committee)))
-        for committee in itertools.combinations(range(m), k)
+        for committee in enumeration
     ]
 
 
@@ -712,8 +727,7 @@ class CCScores:
         self._units: dict[int, array] = {}
 
     def _argmax(self, scores: Sequence[int]) -> WinnerSet:
-        committees = itertools.combinations(range(self.profile.m), self.k)
-        return first_best_committee(committees, scores)
+        return first_best_committee(committees(self.profile.m, self.k), scores)
 
     def winners_without(self, selection: BallotSelection) -> WinnerSet:
         _validate_removal(self.profile, selection)
@@ -831,27 +845,20 @@ def tabulate(
     if method == "scottish":
         return scottish_stv(election)
     if method == "meek":
-        if max_iterations is None:
-            max_iterations = DEFAULT_MEEK_MAX_ITERATIONS
         return meek_stv(election, tolerance=tolerance, max_iterations=max_iterations)
     if method == "ear":
         return ear(election)
     if method in CC_MODELS:
-        winners, scores = cc(election, CC_MODELS[method]), {}
-    elif method == "positional":
+        return _one_round(method, cc(election, CC_MODELS[method]), {})
+    if method == "positional":
         if sv is None:
             sv = borda_vector(election.profile.m)
         scores = positional_scores(election.profile, sv)
         ties: list[TieEvent] = []
         top = _take_first(scores, election.k, scores.__getitem__, "election", 1, ties)
         winners = WinnerSet(frozenset(top), bool(ties))
-    else:
-        raise PreconditionError(
-            f"unknown method {method!r}; expected one of {METHOD_TAGS}"
-        )
-    rnd = Round(1, scores, None, ZERO)
-    rnd.events = [RoundEvent("elected", c) for c in sorted(winners.members)]
-    return TabulationResult(winners, RoundLog(method, None, [rnd], []))
+        return _one_round(method, winners, scores, tie_events=ties)
+    raise PreconditionError(f"unknown method {method!r}; expected one of {METHOD_TAGS}")
 
 
 def result_to_json(election: Election, result: TabulationResult) -> dict:

@@ -15,17 +15,15 @@ committees, and a Hare-quota audit for tabulation results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .errors import EnumerationGuardError, PreconditionError
+from .errors import PreconditionError
 from .methods import (
-    MAX_ENUM_CANDIDATES,
-    Round,
-    RoundLog,
     ScoringVector,
     TabulationResult,
     WinnerSet,
+    _one_round,
+    committees,
     droop_quota,
     first_best_committee,
     hare_quota,
@@ -110,16 +108,10 @@ def is_psc_committee(committee: Iterable[int], constraint_set: PSCConstraintSet)
 
 def enumerate_psc_committees(election: Election, q) -> list[tuple[int, ...]]:
     """All size-k committees compatible with q-PSC, in lexicographic order."""
-    m = election.profile.m
-    if m > MAX_ENUM_CANDIDATES:
-        raise EnumerationGuardError(
-            f"committee enumeration needs m <= {MAX_ENUM_CANDIDATES}, got {m}"
-        )
+    enumeration = committees(election.profile.m, election.k)
     cset = psc_constraints(election.profile, election.k, q)
     return [
-        committee
-        for committee in combinations(range(m), election.k)
-        if is_psc_committee(committee, cset)
+        committee for committee in enumeration if is_psc_committee(committee, cset)
     ]
 
 
@@ -155,7 +147,7 @@ def qpsc_method(sv: ScoringVector, q_mode: str = "droop"):
     The quota is recomputed from each election it is applied to: "droop"
     uses floor(V/(k+1))+1, "hare" uses V/k exactly. The returned callable
     carries method_tag "qpsc" and produces a single-round log holding the
-    per-candidate positional scores.
+    per-candidate positional scores and electing the winners.
     """
     if q_mode not in QUOTAS:
         raise PreconditionError(f"q_mode must be 'droop' or 'hare', got {q_mode!r}")
@@ -164,9 +156,7 @@ def qpsc_method(sv: ScoringVector, q_mode: str = "droop"):
         q = QUOTAS[q_mode](election.profile.total_ballots, election.k)
         scores = positional_scores(election.profile, sv)
         winners = _best_compatible(election, q, scores)
-        notes = (f"quota mode: {q_mode}",)
-        log = RoundLog("qpsc", q, [Round(1, scores, q, ZERO)], [], notes)
-        return TabulationResult(winners, log)
+        return _one_round("qpsc", winners, scores, q, notes=(f"quota mode: {q_mode}",))
 
     run.method_tag = "qpsc"
     return run

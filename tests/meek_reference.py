@@ -12,9 +12,6 @@ from __future__ import annotations
 from blocaudit.errors import MeekNonConvergenceError
 from blocaudit.methods import (
     DEFAULT_MEEK_MAX_ITERATIONS,
-    ELECTED,
-    ELIMINATED,
-    HOPEFUL,
     Round,
     RoundEvent,
     RoundLog,
@@ -25,6 +22,10 @@ from blocaudit.methods import (
     exact_droop_quota,
 )
 from blocaudit.rationals import ONE, ZERO, rational
+
+HOPEFUL = "hopeful"
+ELECTED = "elected"
+ELIMINATED = "eliminated"
 
 KEEP_DENOMINATOR = 10**18
 

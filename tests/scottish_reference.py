@@ -10,9 +10,6 @@ logs.
 from __future__ import annotations
 
 from blocaudit.methods import (
-    ELECTED,
-    ELIMINATED,
-    HOPEFUL,
     Round,
     RoundEvent,
     RoundLog,
@@ -24,6 +21,10 @@ from blocaudit.methods import (
     droop_quota,
 )
 from blocaudit.rationals import ONE, ZERO, rational
+
+HOPEFUL = "hopeful"
+ELECTED = "elected"
+ELIMINATED = "eliminated"
 
 
 # The election and elimination helpers as first written, scanning the status

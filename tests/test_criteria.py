@@ -28,7 +28,7 @@ from blocaudit import (
     tabulate,
 )
 from blocaudit.criteria import ProbeSession
-from blocaudit.methods import CCScores
+from blocaudit.methods import AUDIT_METHODS, CCScores
 from blocaudit.profiles import BallotSelection
 from cc_reference import reference_cc
 from conftest import random_profile
@@ -81,6 +81,20 @@ def test_check_iwvb_star_north_ayrshire(north_ayrshire):
     # the ranked candidate (McDonald) keeps a seat, so the strict variant
     # also counts this as a violation
     assert 5 in record.modified_winners.members
+
+
+@pytest.mark.parametrize("method", AUDIT_METHODS)
+def test_iwvb_counts_only_unranked_winners_losing_a_seat(method):
+    # A, B win; without 10 of A's bullets C takes A's seat. The winner set
+    # changes, but the only winner who lost a seat is the one the removed
+    # ballots ranked, so neither IWVB nor IWVB_STAR is violated.
+    election = make_election(["A", "B", "C"], [((0,), 26), ((1,), 30), ((2,), 20)], 2)
+    selection = selection_from_rankings(election.profile, [((0,), 10)])
+    reduced = Election(remove_ballots(election.profile, selection), election.k)
+    assert tabulate(election, method).winners.members == {0, 1}
+    assert tabulate(reduced, method).winners.members == {1, 2}
+    assert check_iwvb(election, method, selection) is None
+    assert check_iwvb_star(election, method, selection) is None
 
 
 def test_check_iwvb_rejects_loser_ballots(north_ayrshire):

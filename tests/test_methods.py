@@ -27,6 +27,7 @@ from blocaudit import (
     plurality_vector,
     positional_scores,
     remove_ballots,
+    result_to_json,
     scottish_stv,
     selection_from_rankings,
     tabulate,
@@ -489,6 +490,16 @@ def test_tabulate_refuses_settings_of_another_rule(east_ayrshire):
             tabulate(east_ayrshire, method, **settings)
 
 
+def test_meek_refuses_invalid_settings_before_counting(east_ayrshire):
+    # a negative tolerance or an iteration cap below 1 is an input error, not
+    # a count that failed to converge
+    with pytest.raises(PreconditionError):
+        meek_stv(east_ayrshire, tolerance=rational(-1))
+    for cap in (0, -5):
+        with pytest.raises(PreconditionError):
+            tabulate(east_ayrshire, "meek", max_iterations=cap)
+
+
 # --------------------------------------------------------------------- EAR
 
 
@@ -784,9 +795,14 @@ def test_positional_committee_top_k_and_ties():
     election = make_election(
         ["a", "b", "c", "d"], [((0,), 4), ((1,), 3), ((2,), 3), ((3,), 1)], 2
     )
-    winners, _ = tabulate(election, "positional", sv=plurality_vector(4))
+    result = tabulate(election, "positional", sv=plurality_vector(4))
+    winners, log = result
     assert winners.members == {0, 1}  # b beats c on the id tie-break
     assert winners.tie_flag
+    assert log.tie_events == [TieEvent(1, "election", (1, 2), (1,))]
+    assert result_to_json(election, result)["tie_events"] == [
+        {"round": 1, "kind": "election", "tied": [1, 2], "chosen": [1]}
+    ]
 
 
 def test_positional_scores_once_per_tabulation(east_ayrshire, monkeypatch):

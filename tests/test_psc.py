@@ -156,8 +156,12 @@ def test_enumerate_matches_bruteforce():
 def test_enumeration_guard():
     names = [f"c{i}" for i in range(21)]
     election = make_election(names, [((i,), 1) for i in range(21)], 2)
-    with pytest.raises(EnumerationGuardError):
+    with pytest.raises(EnumerationGuardError) as psc_refusal:
         enumerate_psc_committees(election, rational(1))
+    with pytest.raises(EnumerationGuardError) as cc_refusal:
+        tabulate(election, "cc-om")
+    # one guard, so one message for every committee enumeration
+    assert str(psc_refusal.value) == str(cc_refusal.value)
 
 
 # ------------------------------------------------------------- scoring rule
@@ -201,6 +205,10 @@ def test_qpsc_method_as_removal_subject():
     assert result.winners.members == {2, 3}
     assert result.log.method == "qpsc"
     assert any("droop" in note for note in result.log.notes)
+    assert [(ev.kind, ev.candidate) for ev in result.log.rounds[0].events] == [
+        ("elected", 2),
+        ("elected", 3),
+    ]
 
     selection = selection_from_rankings(election.profile, [((1,), 1)])
     record = check_ilvb(election, rule, selection)
