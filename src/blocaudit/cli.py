@@ -10,6 +10,12 @@ Subcommands:
 - psc: print solid coalitions, quota constraints, compatible committees,
   and optionally the constrained scoring winner or a Hare-quota audit.
 
+batch keeps its append-only outputs in one table, _LEDGERS: each file it
+appends to as an election finishes, with the reader of a line's election id.
+One filter at the start, one append per finished election and one stable
+sort at the end run over every ledger, so a resumed run's ledgers equal a
+clean run's.
+
 audit and batch run the five audit rules (AUDIT_METHODS) and share one
 settings parser and one per-file audit: audit reads its settings from flags,
 batch from its config file, and both validate them before any election runs.
@@ -31,6 +37,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 
 from .criteria import (
@@ -49,17 +56,18 @@ from .methods import (
     AUDIT_METHODS,
     METHOD_TAGS,
     ScoringVector,
+    positional_scores,
     result_to_json,
     tabulate,
 )
 from .profiles import Election, selection_ballots, selection_from_rankings
 from .psc import (
     QUOTAS,
+    _best_compatible,
     audit_hare_psc,
     constraint_to_json,
     enumerate_psc_committees,
     psc_constraints,
-    qpsc_scoring_rule,
     solid_coalitions,
 )
 from .rationals import decimal_string, parse_rational
@@ -273,15 +281,19 @@ def _config_entries(path: str | None):
 
 
 def _batch_worker(task):
-    """Audit one election file; returns plain data for cross-process transport."""
+    """Audit one election file: its record JSON lines, tied lines and error
+    lines, as plain strings for cross-process transport."""
     path_str, settings = task
     path = Path(path_str)
-    out = {"election_id": path.stem, "records": [], "tied": [], "errors": []}
     try:
-        out["records"], out["tied"], out["errors"] = _audit_file(path, settings)
+        records, tied, errors = _audit_file(path, settings)
     except (InputError, OSError) as exc:
-        out["errors"] = [f"{path.stem}: {type(exc).__name__}: {exc}"]
-    return out
+        return [], [], [f"{path.stem}: {type(exc).__name__}: {exc}"]
+    return (
+        [json.dumps(record) for record in records],
+        [f"{path.stem} {method}" for method in tied],
+        errors,
+    )
 
 
 def _spot_check(record: dict, path: Path) -> bool:
@@ -299,6 +311,25 @@ def _spot_check(record: dict, path: Path) -> bool:
     )
 
 
+def _record_election(line: str) -> str | None:
+    """The election id of a records.jsonl line; None for a line cut short."""
+    try:
+        return json.loads(line)["election_id"]
+    except ValueError:
+        return None
+
+
+# batch's ledgers, the files it appends to as each election finishes, each
+# with the function that reads the election id from one of its lines. An
+# election appends in this order: its records, its tied rules, and last its
+# id, once it ran without error.
+_LEDGERS = {
+    "records.jsonl": _record_election,
+    "tied.txt": lambda line: line.rsplit(" ", 1)[0],
+    "done.txt": str,
+}
+
+
 def cmd_batch(args) -> int:
     corpus = Path(args.dir)
     if not corpus.is_dir():
@@ -312,10 +343,8 @@ def cmd_batch(args) -> int:
     )
     out_dir = Path(args.out) if args.out else corpus / "audit_out"
     out_dir.mkdir(parents=True, exist_ok=True)
-    records_path = out_dir / "records.jsonl"
-    done_path = out_dir / "done.txt"
-    errors_path = out_dir / "errors.txt"
-    tied_path = out_dir / "tied.txt"
+    ledgers = {out_dir / name: election_of for name, election_of in _LEDGERS.items()}
+    *_, done_path = ledgers  # the table lists the done ledger last
 
     files = sorted(
         [p for p in corpus.iterdir() if p.suffix in (".blt", ".csv")],
@@ -331,43 +360,39 @@ def cmd_batch(args) -> int:
 
     done: set[str] = set()
     if args.resume and done_path.exists():
-        done = set(done_path.read_text().split())
-        # A crash after an election's lines were appended but before it was
-        # marked done leaves lines that its re-audit would write again.
-        for path, election_of in (
-            (records_path, _record_election), (tied_path, _tied_election)
-        ):
-            if path.exists():
-                _rewrite_by_election(path, election_of, done.__contains__)
-    else:
-        for p in (records_path, done_path, errors_path, tied_path):
-            if p.exists():
-                p.unlink()
+        done = set(done_path.read_text().splitlines())
+    # Keep only the lines of elections that are done. Without --resume that
+    # empties every ledger; after a crash it drops the lines of an election
+    # that was appended but not yet marked done, which its re-audit writes.
+    for path, election_of in ledgers.items():
+        if path.exists():
+            _rewrite_by_election(path, election_of, done.__contains__)
 
-    pending = [p for eid, p in sorted(by_id.items()) if eid not in done]
-    tasks = [(str(p), settings) for p in pending]
+    pending = [eid for eid in sorted(by_id) if eid not in done]
+    tasks = [(str(by_id[eid]), settings) for eid in pending]
     # errors.txt starts afresh: every election that errored before is retried.
-    with records_path.open("a") as rec_f, done_path.open("a") as done_f, \
-            errors_path.open("w") as err_f, tied_path.open("a") as tied_f:
-        for line in dup_errors:
-            err_f.write(line + "\n")
+    with ExitStack() as stack:
+        outs = [stack.enter_context(path.open("a")) for path in ledgers]
+        err_f = stack.enter_context((out_dir / "errors.txt").open("w"))
+        err_f.writelines(line + "\n" for line in dup_errors)
+        run = map
         if workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = pool.map(_batch_worker, tasks)
-                for result in results:
-                    _absorb_batch_result(result, rec_f, done_f, err_f, tied_f)
-        else:
-            for task in tasks:
-                _absorb_batch_result(_batch_worker(task), rec_f, done_f, err_f, tied_f)
-    errored = len(dup_errors) + len(by_id.keys() - set(done_path.read_text().split()))
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for eid, (records, tied, errors) in zip(pending, run(_batch_worker, tasks)):
+            # only an election that ran without error is marked done
+            appended = (records, tied, [] if errors else [eid], errors)
+            for f, lines in zip((*outs, err_f), appended):
+                f.writelines(line + "\n" for line in lines)
+                f.flush()
 
-    # A retried election's lines were appended after the rest; put them back
-    # in election order, where a clean run writes them.
-    all_records = [
-        json.loads(line)
-        for line in _rewrite_by_election(records_path, _record_election)
-    ]
-    _rewrite_by_election(tied_path, _tied_election)
+    # A retried election's lines were appended after the rest; put every
+    # ledger back in election order, where a clean run writes it.
+    record_lines, _, done_lines = (
+        _rewrite_by_election(path, election_of)
+        for path, election_of in ledgers.items()
+    )
+    all_records = [json.loads(line) for line in record_lines]
+    errored = len(dup_errors) + len(by_id.keys() - set(done_lines))
     _write_batch_reports(out_dir, all_records)
 
     checked = failures = 0
@@ -380,39 +405,13 @@ def cmd_batch(args) -> int:
                 failures += 1
                 print(f"spot-check FAILED: {record}", file=sys.stderr)
     print(
-        f"audited {len(pending)} elections ({len(done)} skipped as done); "
+        f"audited {len(pending)} elections "
+        f"({len(by_id) - len(pending)} skipped as done); "
         f"{errored} errored (see errors.txt); {len(all_records)} records; "
         f"spot-checked {checked}, {failures} failures",
         file=sys.stderr,
     )
     return 1 if failures else 0
-
-
-def _absorb_batch_result(result, rec_f, done_f, err_f, tied_f):
-    """Append one election's output; only an election without error is done."""
-    eid = result["election_id"]
-    for record in result["records"]:
-        rec_f.write(json.dumps(record) + "\n")
-    for method in result["tied"]:
-        tied_f.write(f"{eid} {method}\n")
-    for line in result["errors"]:
-        err_f.write(line + "\n")
-    if not result["errors"]:
-        done_f.write(eid + "\n")
-    for f in (rec_f, done_f, err_f, tied_f):
-        f.flush()
-
-
-def _record_election(line: str) -> str | None:
-    """The election id of a records.jsonl line; None for a line cut short."""
-    try:
-        return json.loads(line)["election_id"]
-    except ValueError:
-        return None
-
-
-def _tied_election(line: str) -> str:
-    return line.rsplit(" ", 1)[0]
 
 
 def _rewrite_by_election(path: Path, election_of, keep=bool) -> list[str]:
@@ -431,36 +430,24 @@ def _rewrite_by_election(path: Path, election_of, keep=bool) -> list[str]:
 
 
 def _write_batch_reports(out_dir: Path, records: list[dict]):
-    rows: dict[tuple[str, str, str], dict] = {}
-    grid_elections: dict[tuple[str, str], set[str]] = {}
-    for record in records:
-        key = (record["election_id"], record["method"], record["criterion"])
-        row = rows.setdefault(
-            key, {"violations": 0, "party_swaps": 0}
-        )
-        row["violations"] += 1
-        if record["party_swap"]:
-            row["party_swaps"] += 1
-        grid_elections.setdefault(
-            (record["criterion"], record["method"]), set()
-        ).add(record["election_id"])
-
+    keys = [(r["election_id"], r["method"], r["criterion"]) for r in records]
+    violations = Counter(keys)
+    swaps = Counter(key for key, r in zip(keys, records) if r["party_swap"])
     with (out_dir / "rows.csv").open("w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(
             ["election_id", "method", "criterion", "violations", "party_swaps"]
         )
-        for (eid, method, criterion), row in sorted(rows.items()):
-            writer.writerow(
-                [eid, method, criterion, row["violations"], row["party_swaps"]]
-            )
+        for key, n in sorted(violations.items()):
+            writer.writerow([*key, n, swaps[key]])
 
+    # Each rows key is one election with a violation of one criterion under one rule.
+    flagged = Counter((criterion, method) for _, method, criterion in violations)
     with (out_dir / "report.csv").open("w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["criterion", *(m.replace("-", "_") for m in AUDIT_METHODS)])
         for criterion in CRITERIA:
-            cells = [len(grid_elections.get((criterion, m), ())) for m in AUDIT_METHODS]
-            writer.writerow([criterion, *cells])
+            writer.writerow([criterion, *(flagged[criterion, m] for m in AUDIT_METHODS)])
 
 
 # --------------------------------------------------------------------- gen
@@ -507,33 +494,37 @@ def cmd_gen(args) -> int:
 def cmd_psc(args) -> int:
     election = load_election(args.path)
     q = QUOTAS[args.q_mode](election.profile.total_ballots, election.k)
-    print(f"quota ({args.q_mode}): {decimal_string(q)}")
+    # The report is printed once it is complete, so a refusal prints none of it.
+    report = [f"quota ({args.q_mode}): {decimal_string(q)}"]
     names = {c.id: c.name for c in election.profile.candidates}
     coalitions = solid_coalitions(election.profile)
-    print(f"solid coalitions: {len(coalitions)}")
+    report.append(f"solid coalitions: {len(coalitions)}")
     for coalition in coalitions:
         members = ", ".join(names[c] for c in sorted(coalition.supported_set))
-        print(f"  {{{members}}}: {coalition.size}")
+        report.append(f"  {{{members}}}: {coalition.size}")
     cset = psc_constraints(election.profile, election.k, q)
-    print(f"binding constraints: {len(cset.constraints)}")
+    report.append(f"binding constraints: {len(cset.constraints)}")
     for constraint in cset.constraints:
         members = ", ".join(names[c] for c in sorted(constraint.supported_set))
-        print(f"  {{{members}}} (size {constraint.size}) requires {constraint.required}")
+        report.append(
+            f"  {{{members}}} (size {constraint.size}) requires {constraint.required}"
+        )
     committees = enumerate_psc_committees(election, q)
-    print(f"compatible committees: {len(committees)}")
+    report.append(f"compatible committees: {len(committees)}")
     if args.sv:
-        sv = _parse_sv(args.sv)
-        winners = qpsc_scoring_rule(election, q, sv)
+        scores = positional_scores(election.profile, _parse_sv(args.sv))
+        winners = _best_compatible(election, q, committees, scores)
         winner_names = ", ".join(names[c] for c in sorted(winners.members))
         tie = " (tie)" if winners.tie_flag else ""
-        print(f"scoring winner: {winner_names}{tie}")
+        report.append(f"scoring winner: {winner_names}{tie}")
     if args.audit:
         result = tabulate(election, args.audit)
         bad = audit_hare_psc(election, result.winners)
-        print(f"{len(bad)} violated constraints at the Hare quota "
-              f"for {args.audit} winners")
+        report.append(f"{len(bad)} violated constraints at the Hare quota "
+                      f"for {args.audit} winners")
         for constraint in bad:
-            print(f"  {json.dumps(constraint_to_json(constraint))}")
+            report.append(f"  {json.dumps(constraint_to_json(constraint))}")
+    print("\n".join(report))
     return 0
 
 

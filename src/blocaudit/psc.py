@@ -123,12 +123,14 @@ def qpsc_scoring_rule(election: Election, q, sv: ScoringVector) -> WinnerSet:
     violating a q-PSC constraint are excluded before scoring. Score ties
     keep the lexicographically first committee and set the tie flag.
     """
-    return _best_compatible(election, q, positional_scores(election.profile, sv))
-
-
-def _best_compatible(election: Election, q, scores) -> WinnerSet:
-    """qpsc_scoring_rule from the candidates' positional scores."""
+    scores = positional_scores(election.profile, sv)
     compatible = enumerate_psc_committees(election, q)
+    return _best_compatible(election, q, compatible, scores)
+
+
+def _best_compatible(election: Election, q, compatible, scores) -> WinnerSet:
+    """qpsc_scoring_rule from the compatible committees and the candidates'
+    positional scores."""
     if not compatible:
         raise PreconditionError(
             f"no committee of size {election.k} is compatible with q={q}"
@@ -155,7 +157,8 @@ def qpsc_method(sv: ScoringVector, q_mode: str = "droop"):
     def run(election: Election) -> TabulationResult:
         q = QUOTAS[q_mode](election.profile.total_ballots, election.k)
         scores = positional_scores(election.profile, sv)
-        winners = _best_compatible(election, q, scores)
+        compatible = enumerate_psc_committees(election, q)
+        winners = _best_compatible(election, q, compatible, scores)
         return _one_round("qpsc", winners, scores, q, notes=(f"quota mode: {q_mode}",))
 
     run.method_tag = "qpsc"

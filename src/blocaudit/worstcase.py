@@ -16,7 +16,9 @@ generate() returns the exact profile plus the designated removal and the
 expected before/after winner sets; the `methods` field names the tabulation
 rules the family is valid for. Only the two IWVB* families read size
 parameters (all of a, b, c for STV_IWVB_STAR, only a for EAR_IWVB_STAR);
-generate() refuses any parameter its family does not read.
+generate() refuses any parameter its family does not read, and any k below
+the family's lowest (1 for the ILVB families, 2 for the rest) or, for the two
+fixed k=2 QPSC constructions, above it.
 """
 
 from __future__ import annotations
@@ -85,8 +87,6 @@ def _case(cands, ballots, k, title, removed, before, after, methods, options=Non
 
 def _stv_ilvb(spec: GeneratorSpec) -> GeneratedCase:
     k = spec.k
-    if k < 1:
-        raise PreconditionError("STV_ILVB needs k >= 1")
     cands = _blocks("A", k, 0) + _blocks("B", k, k) + _blocks("C", k, 2 * k)
     ballots = []
     for i in range(k):
@@ -107,8 +107,6 @@ def _stv_ilvb(spec: GeneratorSpec) -> GeneratedCase:
 
 def _ear_ilvb(spec: GeneratorSpec) -> GeneratedCase:
     k = spec.k
-    if k < 1:
-        raise PreconditionError("EAR_ILVB needs k >= 1")
     cands = _blocks("A", k, 0) + _blocks("B", k, k) + [Candidate(2 * k, "C", "C")]
     ballots = []
     for i in range(k):
@@ -123,8 +121,6 @@ def _ear_ilvb(spec: GeneratorSpec) -> GeneratedCase:
 
 def _stv_iwvb(spec: GeneratorSpec) -> GeneratedCase:
     k = spec.k
-    if k < 2:
-        raise PreconditionError("STV_IWVB needs k >= 2")
     cands = _blocks("A", k, 0) + _blocks("B", k, k)
     ballots = [
         ((0,), 14 * k - 12),
@@ -147,8 +143,6 @@ def _stv_iwvb(spec: GeneratorSpec) -> GeneratedCase:
 
 def _ear_iwvb(spec: GeneratorSpec) -> GeneratedCase:
     k = spec.k
-    if k < 2:
-        raise PreconditionError("EAR_IWVB needs k >= 2 (the construction has k-1 supported partners)")
     cands = [Candidate(0, "A", "A")] + _blocks("B", k - 1, 1) + _blocks("C", k, k)
     ballots = [((0,), 20 * k + 20)]
     for i in range(k - 1):
@@ -163,8 +157,6 @@ def _ear_iwvb(spec: GeneratorSpec) -> GeneratedCase:
 
 def _stv_iwvb_star(spec: GeneratorSpec) -> GeneratedCase:
     k = spec.k
-    if k < 2:
-        raise PreconditionError("STV_IWVB_STAR needs k >= 2")
     if spec.a is None and spec.b is None and spec.c is None:
         if k not in _STAR_DEFAULTS:
             raise PreconditionError(
@@ -199,8 +191,6 @@ def _stv_iwvb_star(spec: GeneratorSpec) -> GeneratedCase:
 
 def _ear_iwvb_star(spec: GeneratorSpec) -> GeneratedCase:
     k = spec.k
-    if k < 2:
-        raise PreconditionError("EAR_IWVB_STAR needs k >= 2")
     a = spec.a if spec.a is not None else _EAR_STAR_DEFAULT_A
     if a < 1:
         raise PreconditionError("EAR_IWVB_STAR needs a >= 1")
@@ -228,8 +218,6 @@ def _ear_iwvb_star(spec: GeneratorSpec) -> GeneratedCase:
 
 def _cc_iwvb(spec: GeneratorSpec) -> GeneratedCase:
     k = spec.k
-    if k < 2:
-        raise PreconditionError("CC_IWVB needs k >= 2")
     cands = _blocks("A", k, 0) + _blocks("B", k, k)
     ballots = [
         ((0,), 3),
@@ -263,8 +251,6 @@ _ABCD = tuple(Candidate(i, name, name) for i, name in enumerate("ABCD"))
 
 
 def _qpsc_left(spec: GeneratorSpec) -> GeneratedCase:
-    if spec.k != 2:
-        raise PreconditionError("QPSC_LEFT is a fixed k=2 construction")
     ballots = [((0,), 333), ((1,), 1), ((2, 3), 333), ((3, 2), 332)]
     sv = ScoringVector((rational(1), rational(1, 100)))
     return _case(
@@ -276,8 +262,6 @@ def _qpsc_left(spec: GeneratorSpec) -> GeneratedCase:
 
 
 def _qpsc_right(spec: GeneratorSpec) -> GeneratedCase:
-    if spec.k != 2:
-        raise PreconditionError("QPSC_RIGHT is a fixed k=2 construction")
     ballots = [((0,), 1), ((2, 3), 666), ((1,), 332)]
     sv = ScoringVector((rational(1), rational(1, 1000)))
     return _case(
@@ -288,17 +272,19 @@ def _qpsc_right(spec: GeneratorSpec) -> GeneratedCase:
     )
 
 
-# family -> (builder, the size parameters among a, b, c that it reads)
+# family -> (builder, the size parameters among a, b, c that it reads, the
+# seats it builds for: its lowest k and its highest, None for no bound)
 _FAMILY_TABLE = {
-    "STV_ILVB": (_stv_ilvb, ()),
-    "EAR_ILVB": (_ear_ilvb, ()),
-    "STV_IWVB": (_stv_iwvb, ()),
-    "EAR_IWVB": (_ear_iwvb, ()),
-    "STV_IWVB_STAR": (_stv_iwvb_star, ("a", "b", "c")),
-    "EAR_IWVB_STAR": (_ear_iwvb_star, ("a",)),
-    "CC_IWVB": (_cc_iwvb, ()),
-    "QPSC_LEFT": (_qpsc_left, ()),
-    "QPSC_RIGHT": (_qpsc_right, ()),
+    "STV_ILVB": (_stv_ilvb, (), (1, None)),
+    "EAR_ILVB": (_ear_ilvb, (), (1, None)),
+    "STV_IWVB": (_stv_iwvb, (), (2, None)),
+    # the construction has k - 1 supported partners
+    "EAR_IWVB": (_ear_iwvb, (), (2, None)),
+    "STV_IWVB_STAR": (_stv_iwvb_star, ("a", "b", "c"), (2, None)),
+    "EAR_IWVB_STAR": (_ear_iwvb_star, ("a",), (2, None)),
+    "CC_IWVB": (_cc_iwvb, (), (2, None)),
+    "QPSC_LEFT": (_qpsc_left, (), (2, 2)),
+    "QPSC_RIGHT": (_qpsc_right, (), (2, 2)),
 }
 FAMILIES = tuple(_FAMILY_TABLE)
 
@@ -306,8 +292,12 @@ FAMILIES = tuple(_FAMILY_TABLE)
 def generate(spec: GeneratorSpec) -> GeneratedCase:
     """Build the family's election, removal selection, and expected winner flip.
 
-    Raises PreconditionError for a size parameter the family does not read."""
-    build, reads = _FAMILY_TABLE[spec.family]
+    Raises PreconditionError for a k the family does not build for and for
+    a size parameter it does not read."""
+    build, reads, (lowest, highest) = _FAMILY_TABLE[spec.family]
+    if spec.k < lowest or (highest is not None and spec.k > highest):
+        seats = f"k >= {lowest}" if highest is None else f"k = {lowest}"
+        raise PreconditionError(f"{spec.family} needs {seats}, got k={spec.k}")
     for name in ("a", "b", "c"):
         value = getattr(spec, name)
         if value is not None and name not in reads:

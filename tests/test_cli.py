@@ -6,6 +6,8 @@ import pytest
 
 import blocaudit.cli as cli
 import blocaudit.criteria as criteria
+import blocaudit.psc as psc
+from blocaudit import GeneratorSpec, PreconditionError, generate
 from blocaudit.cli import AUDIT_METHODS, _audit_one, main
 from blocaudit.criteria import (
     CRITERIA,
@@ -14,6 +16,7 @@ from blocaudit.criteria import (
     search_iwvb,
     search_party_swaps,
 )
+from blocaudit.worstcase import FAMILIES
 from conftest import EAST_AYRSHIRE, NORTH_AYRSHIRE
 
 
@@ -255,6 +258,28 @@ def test_gen_rejects_bad_parameters(tmp_path, capsys):
         assert not out.with_suffix(".manifest.json").exists()
 
 
+# each family one seat below the lowest k it builds for, and the fixed k=2
+# QPSC constructions one seat above it
+@pytest.mark.parametrize(
+    "family, k",
+    [("STV_ILVB", 0), ("EAR_ILVB", 0)]
+    + [(family, 1) for family in FAMILIES if "ILVB" not in family]
+    + [("QPSC_LEFT", 3), ("QPSC_RIGHT", 3)],
+)
+def test_gen_refuses_seats_outside_the_family(tmp_path, capsys, family, k):
+    with pytest.raises(PreconditionError, match=family):
+        generate(GeneratorSpec(family, k))
+    out = tmp_path / "case.blt"
+    code, _, err = run(
+        capsys, "gen", family.lower().replace("_", "-"), "--k", str(k),
+        "--out", str(out),
+    )
+    assert code == 2
+    assert family in err
+    assert not out.exists()
+    assert not out.with_suffix(".manifest.json").exists()
+
+
 # --------------------------------------------------------------------- psc
 
 
@@ -277,6 +302,33 @@ def test_psc_hare_audit_line(capsys):
     assert "0 violated constraints" in out
 
 
+def test_psc_refusal_prints_no_partial_report(tmp_path, capsys):
+    wide = tmp_path / "m21.blt"
+    wide.write_text(
+        "21 2\n" + "".join(f"1 {i} 0\n" for i in range(1, 22)) + "0\n"
+        + "".join(f'"c{i}"\n' for i in range(1, 22)) + '"Twenty-one candidates"\n'
+    )
+    code, out, err = run(capsys, "psc", str(wide))
+    assert code == 3
+    assert out == ""
+    assert err == "error: committee enumeration needs m <= 20 candidates, got 21\n"
+
+
+def test_psc_sv_enumerates_committees_once(capsys, monkeypatch):
+    calls = []
+    enumerate_all = psc.committees
+
+    def counted(m, k):
+        calls.append((m, k))
+        return enumerate_all(m, k)
+
+    monkeypatch.setattr(psc, "committees", counted)
+    code, out, _ = run(capsys, "psc", str(EAST_AYRSHIRE), "--sv", "1,0.5")
+    assert code == 0
+    assert "scoring winner: " in out
+    assert len(calls) == 1
+
+
 # -------------------------------------------------------------------- batch
 
 
@@ -295,6 +347,9 @@ def corpus(tmp_path, capsys):
 
 
 CFG = "methods=scottish\ncriteria=ilvb,iwvb\nsigma_l=10\nsigma_w=3\n"
+BATCH_OUTPUTS = (
+    "records.jsonl", "tied.txt", "done.txt", "errors.txt", "rows.csv", "report.csv"
+)
 
 
 def test_batch_outputs(tmp_path, corpus, capsys):
@@ -363,7 +418,6 @@ def test_batch_resume_skips_done(tmp_path, corpus, capsys):
 def test_batch_resume_retries_fixed_election(tmp_path, corpus, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(CFG)
-    names = ("records.jsonl", "rows.csv", "report.csv")
     broken = corpus / "broken.blt"
     resumed, clean = tmp_path / "resumed", tmp_path / "clean"
     code, _, _ = run(
@@ -386,8 +440,8 @@ def test_batch_resume_retries_fixed_election(tmp_path, corpus, capsys):
     )
     assert code == 0
     assert '"election_id": "broken"' in (clean / "records.jsonl").read_text()
-    for name in names:
-        assert (resumed / name).read_text() == (clean / name).read_text()
+    for name in BATCH_OUTPUTS:
+        assert (resumed / name).read_text() == (clean / name).read_text(), name
 
 
 @pytest.mark.parametrize("victim", ["na", "tie"])
@@ -400,7 +454,7 @@ def test_batch_resume_after_crash_writes_no_duplicates(
     )
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(CFG)
-    names = ("records.jsonl", "tied.txt", "rows.csv", "report.csv")
+    names = ("records.jsonl", "tied.txt", "done.txt", "rows.csv", "report.csv")
     clean, resumed = tmp_path / "clean", tmp_path / "resumed"
     code, _, _ = run(
         capsys, "batch", str(corpus), "--config", str(cfg), "--out", str(clean)
@@ -434,6 +488,52 @@ def test_batch_resume_after_crash_writes_no_duplicates(
     assert f"({len([eid for eid in done if eid < victim])} skipped as done)" in err
     for name in names:
         assert (resumed / name).read_text() == (clean / name).read_text(), name
+
+
+def test_batch_election_id_with_a_space(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    shutil.copy(EAST_AYRSHIRE, corpus_dir / "east ward.blt")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(CFG)
+    out_dir = tmp_path / "out"
+    argv = ["batch", str(corpus_dir), "--config", str(cfg), "--out", str(out_dir)]
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    assert "0 errored" in err
+    assert (out_dir / "done.txt").read_text() == "east ward\n"
+    records = (out_dir / "records.jsonl").read_text()
+    assert '"election_id": "east ward"' in records
+    code, _, err = run(capsys, *argv, "--resume")
+    assert code == 0
+    assert "audited 0 elections (1 skipped as done)" in err
+    assert (out_dir / "records.jsonl").read_text() == records
+
+
+def test_batch_without_resume_replaces_earlier_ledgers(tmp_path, corpus, capsys):
+    # a dead heat for one seat, so tied.txt is not empty
+    (corpus / "tie.blt").write_text(
+        '2 1\n5 1 0\n5 2 0\n0\n"a"\n"b"\n"dead heat"\n'
+    )
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(CFG)
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    for out_dir in (reused, fresh):
+        code, _, _ = run(
+            capsys, "batch", str(corpus), "--config", str(cfg), "--out", str(out_dir)
+        )
+        assert code == 0
+    # a stale line in every output of the earlier run, then a run over it
+    for name in BATCH_OUTPUTS:
+        with (reused / name).open("a") as f:
+            f.write("stale\n")
+    code, _, err = run(
+        capsys, "batch", str(corpus), "--config", str(cfg), "--out", str(reused)
+    )
+    assert code == 0
+    assert "(0 skipped as done)" in err
+    for name in BATCH_OUTPUTS:
+        assert (reused / name).read_text() == (fresh / name).read_text(), name
 
 
 def test_batch_spot_check_failure_exits_nonzero(
