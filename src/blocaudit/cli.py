@@ -360,7 +360,9 @@ def cmd_batch(args) -> int:
 
     done: set[str] = set()
     if args.resume and done_path.exists():
-        done = set(done_path.read_text().splitlines())
+        # a last id without its newline was cut short, so it is not done
+        *ids, _cut = done_path.read_text().split("\n")
+        done = set(ids)
     # Keep only the lines of elections that are done. Without --resume that
     # empties every ledger; after a crash it drops the lines of an election
     # that was appended but not yet marked done, which its re-audit writes.

@@ -19,14 +19,16 @@ The searches are heuristics that probe graded fractions of each pool, and
 search_party_swaps restricts the same pools to removals that move one seat
 between two parties. Searches over one (election, rule) can share a
 ProbeSession, so each removal is scored once; audit and batch do. The
-session tabulates the reduced election for most rules and scores
-Chamberlin-Courant removals by difference (methods.CCScores). A rule
-whose base count is tie-flagged is not searched, nor are the pairs of
-criterion and rule that PROVEN_IMMUNE proves clean. Every
-reported record is re-checked by a fresh call to the public check_*, never
-from the session. oracle_ilvb applies check_ilvb to every loser-only
-removal of a small instance and is the ground truth the heuristics are
-tested against.
+session scores every audit rule's removals from its own arrays and builds
+no reduced profile: Scottish, Meek and EAR by running the rule's count
+(methods.COUNTS) over the source multiplicities less the removal, without
+a round log, and Chamberlin-Courant by difference (methods.CCScores). Only
+the session's base count and the checks tabulate. A rule whose base count
+is tie-flagged is not searched, nor are the pairs of criterion and rule
+that PROVEN_IMMUNE proves clean. Every reported record is re-checked by a
+fresh call to the public check_*, never from the session. oracle_ilvb
+applies check_ilvb to every loser-only removal of a small instance and is
+the ground truth the heuristics are tested against.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Callable, Iterable, NamedTuple, Union
 from .errors import OracleBudgetError, PreconditionError
 from .methods import (
     CC_MODELS,
+    COUNTS,
     METHOD_TAGS,
     CCScores,
     TabulationResult,
@@ -49,6 +52,7 @@ from .profiles import (
     BallotSelection,
     Election,
     PreferenceProfile,
+    _validate_removal,
     ballots_ranking_only,
     fraction_of,
     remove_ballots,
@@ -141,9 +145,13 @@ class ProbeSession:
     pair), which the searches of one rule rebuild otherwise. The searches
     read nothing else; the public checks never read the session.
 
-    Most rules score a removal by tabulating the reduced election; the
-    Chamberlin-Courant tags ("cc-om", "cc-pm") score it by difference
-    (methods.CCScores).
+    No audit rule tabulates a reduced election. For "scottish", "meek" and
+    "ear" the session keeps the source profile's multiplicities and scores a
+    removal by running the rule's count (methods.COUNTS) over a copy of them
+    less the removal, without its round log; the Chamberlin-Courant tags
+    ("cc-om", "cc-pm") score it by difference (methods.CCScores). Only the
+    base count of those three rules goes through tabulate. A callable rule
+    is run on the reduced election (remove_ballots).
     """
 
     def __init__(self, election: Election, method: MethodLike):
@@ -151,6 +159,7 @@ class ProbeSession:
         self.method = method
         model = CC_MODELS.get(method) if isinstance(method, str) else None
         self._cc = None if model is None else CCScores(election, model)
+        self._count = COUNTS.get(method) if isinstance(method, str) else None
         self.before = self._cc.winners if self._cc else _run(method, election).winners
         self.winners = self.before.members
         self.losers = frozenset(range(election.profile.m)) - self.winners
@@ -164,10 +173,17 @@ class ProbeSession:
     def winners_after(self, selection: BallotSelection) -> WinnerSet:
         winners = self._memo.get(selection)
         if winners is None:
-            if self._cc is None:
-                winners = _run(self.method, _without(self.election, selection)).winners
-            else:
+            if self._cc is not None:
                 winners = self._cc.winners_without(selection)
+            elif self._count is not None:
+                profile = self.election.profile
+                _validate_removal(profile, selection)
+                mults = list(profile.multiplicities)
+                for t, removed in selection.entries:
+                    mults[t] -= removed
+                winners = self._count(profile, mults, self.election.k).winners
+            else:
+                winners = _run(self.method, _without(self.election, selection)).winners
             self._memo[selection] = winners
         return winners
 
@@ -401,27 +417,27 @@ def _transfer_order(
     For each C the score counts ballots that rank C above both A and B and
     rank A above B, minus those ranking B above A. Unranked candidates sit
     below all ranked ones; ties break toward the lower candidate id.
+
+    The positions come from the profile's cached profile.ranks_of, which
+    every session of the election shares: a ballot type ranking A or B gets
+    the position of the higher of them and its signed multiplicity, and C
+    scores the types that rank C above that position.
     """
-    scores: dict[int, int] = {c: 0 for c in committee}
-    for bt in profile.ballots:
-        pos = {cid: r for r, cid in enumerate(bt.ranking)}
-        pa = pos.get(a)
-        pb = pos.get(b)
-        if pa is None and pb is None:
-            continue
-        if pa is None:
-            cmp = -1  # only B ranked: B above A
-            bar = pb
-        elif pb is None:
-            cmp = 1  # only A ranked: A above B
-            bar = pa
-        else:
-            cmp = 1 if pa < pb else -1
-            bar = min(pa, pb)
-        for c in scores:
-            pc = pos.get(c)
-            if pc is not None and pc < bar:
-                scores[c] += cmp * bt.multiplicity
+    ranks_of = profile.ranks_of
+    mults = profile.multiplicities
+    # ballot type -> (position of the higher of A and B, signed multiplicity)
+    side = {t: (pb, -mults[t]) for t, pb in ranks_of[b]}  # B above A or alone
+    for t, pa in ranks_of[a]:
+        if t not in side or pa < side[t][0]:
+            side[t] = (pa, mults[t])  # A above B or alone
+    scores: dict[int, int] = {}
+    for c in committee:
+        score = 0
+        for t, pc in ranks_of[c]:
+            bar = side.get(t)
+            if bar is not None and pc < bar[0]:
+                score += bar[1]
+        scores[c] = score
     return sorted(scores, key=lambda c: (-scores[c], c))
 
 

@@ -2,6 +2,11 @@
 
 Every tabulation returns a TabulationResult: a WinnerSet plus a RoundLog
 holding per-round exact vote totals and the events that produced them.
+Scottish STV, Meek STV and EAR each have one integer count (COUNTS) over a
+profile's ballot types at given multiplicities: tabulate runs it with the
+round log, and a search probe (criteria.ProbeSession) runs it without one,
+over the source multiplicities less the removal, so a probe builds neither
+a reduced profile nor any Round, RoundEvent or RationalsOver.
 
 Tie handling: one deterministic rule breaks every tie, lowest candidate id
 first (_take_first) and the lexicographically smallest committee first
@@ -121,7 +126,7 @@ class RoundLog:
 
 class TabulationResult(NamedTuple):
     winners: WinnerSet
-    log: RoundLog
+    log: RoundLog | None  # None from a count run without its log
 
 
 def _fate_tie_flag(tie_events: Iterable[TieEvent], winners: frozenset[int]) -> bool:
@@ -130,9 +135,14 @@ def _fate_tie_flag(tie_events: Iterable[TieEvent], winners: frozenset[int]) -> b
 
 
 def _result(method: str, quota, elected, rounds, tie_events, notes=()):
-    """The winner set, its tie flag and the round log at the end of a count."""
+    """The winner set, its tie flag and the round log at the end of a count.
+
+    rounds is None when the count kept no log, and then so is the log.
+    """
     members = frozenset(elected)
     winners = WinnerSet(members, _fate_tie_flag(tie_events, members))
+    if rounds is None:
+        return TabulationResult(winners, None)
     log = RoundLog(method, quota, rounds, tie_events, tuple(notes))
     return TabulationResult(winners, log)
 
@@ -181,49 +191,54 @@ def hare_quota(total_ballots: int, k: int):
 
 
 # The STV counts keep their hopefuls as a set, and these three helpers
-# remove a candidate from it on election or elimination.
+# remove a candidate from it on election or elimination. events is the
+# current Round's event list, or None when the count keeps no log.
 
 
 def _elect_crossers(
     totals, quota, hopefuls: set[int], elected: list[int], k: int,
-    rnd: Round, tie_events: list[TieEvent],
+    number: int, events: list[RoundEvent] | None, tie_events: list[TieEvent],
 ) -> list[int]:
     """Elect the hopefuls whose total reaches quota, highest first, while seats remain.
 
     totals maps each candidate to a total in whatever ordered unit the count
     keeps, and quota is in the same unit. A tie on the last open seat's
-    total goes to the lower id and is recorded as an "election" tie.
-    Returns the candidates elected, in order.
+    total goes to the lower id and is recorded as an "election" tie of
+    round number. Returns the candidates elected, in order.
     """
     crossers = [c for c in hopefuls if totals[c] >= quota]
     if not crossers:
         return crossers
     crossers = _take_first(
-        crossers, k - len(elected), totals.__getitem__, "election", rnd.number,
+        crossers, k - len(elected), totals.__getitem__, "election", number,
         tie_events,
     )
     for c in crossers:
         hopefuls.remove(c)
         elected.append(c)
-        rnd.events.append(RoundEvent("elected", c))
+        if events is not None:
+            events.append(RoundEvent("elected", c))
     return crossers
 
 
 def _elect_remaining(
-    hopefuls: set[int], elected: list[int], k: int, rnd: Round
+    hopefuls: set[int], elected: list[int], k: int,
+    events: list[RoundEvent] | None,
 ) -> bool:
     """If the hopefuls exactly fill the open seats, elect them, lowest id first."""
     if len(hopefuls) != k - len(elected):
         return False
     for c in sorted(hopefuls):
         elected.append(c)
-        rnd.events.append(RoundEvent("elected", c))
+        if events is not None:
+            events.append(RoundEvent("elected", c))
     hopefuls.clear()
     return True
 
 
 def _eliminate_lowest(
-    totals, hopefuls: set[int], rnd: Round, tie_events: list[TieEvent]
+    totals, hopefuls: set[int], number: int, events: list[RoundEvent] | None,
+    tie_events: list[TieEvent],
 ) -> int:
     """Eliminate the hopeful with the lowest total and return them.
 
@@ -231,59 +246,69 @@ def _eliminate_lowest(
     recorded as an "elimination" tie.
     """
     [out] = _take_first(
-        hopefuls, 1, lambda c: -totals[c], "elimination", rnd.number, tie_events,
+        hopefuls, 1, lambda c: -totals[c], "elimination", number, tie_events,
     )
     hopefuls.remove(out)
-    rnd.events.append(RoundEvent("eliminated", out))
+    if events is not None:
+        events.append(RoundEvent("eliminated", out))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The integer counts
+#
+# Scottish STV, Meek STV and EAR each have one count (_scottish_count,
+# _meek_count, _ear_count), listed by tag in COUNTS. A count takes
+# (profile, mults, k, log): the profile's ballot types in canonical order,
+# type t standing mults[t] times, and the number of seats. tabulate runs it
+# over the profile's own multiplicities with log true, which builds the
+# RoundLog. criteria.ProbeSession runs it with log false over a copy of the
+# source multiplicities less a removal; the count then builds no Round,
+# RoundEvent or RationalsOver and returns a log of None. The tie events
+# are kept either way, since the tie flag is read from them.
+#
+# Exactness: remove_ballots keeps the canonical type order and drops the
+# types that reach 0, so a count that skips the types of multiplicity 0
+# sees the reduced profile's types, in its order, with its counts. What a
+# count reads from the profile as a whole comes from the live types alone,
+# as the reduced profile's would: the ballot total V = sum(mults) behind
+# Scottish's integer quota and EAR's Droop quota, and Meek's longest
+# ranking L.
 
 
 # ---------------------------------------------------------------------------
 # Scottish STV
 
 
-def scottish_stv(election: Election) -> TabulationResult:
-    """Fractional-transfer STV with a fixed integer quota.
+def _scottish_count(
+    profile: PreferenceProfile, mults: Sequence[int], k: int, log: bool = False
+) -> TabulationResult:
+    """Scottish STV over the profile's types at multiplicities mults (see scottish_stv).
 
-    One transfer action per round: distribute the largest pending surplus at
-    value surplus/total per ballot, or eliminate the lowest hopeful at current
-    values. Candidates at or above quota are elected at the top of each round
-    and receive no further transfers; a distributed winner retains exactly the
-    quota. Rounds snapshot totals before that round's action, matching the
-    published votes-by-round layout.
-
-    The count adds integers. Every total and the exhausted weight is an
-    integer over one common denominator den, which starts at 1. A surplus
-    transfer reduces surplus/total to p/q and multiplies den and every
-    current amount by q. A pile is a list of groups (value, created,
-    parcels): each parcel (ranking, position of the holder in it, ballot
-    count) is worth value/created per ballot, created being den when the
-    group was made. A transfer sends each group's parcels on as integer
-    counts and adds one product per (group, target), so totals are compared
-    with the quota as total >= quota * den.
+    Types of multiplicity 0 are skipped, and the integer quota is taken from
+    sum(mults), the live ballots, so the count equals scottish_stv on the
+    reduced profile; log builds the round log (see "The integer counts" above).
     """
-    profile = election.profile
-    k = election.k
-    quota = droop_quota(profile.total_ballots, k)
+    m = profile.m
+    quota = droop_quota(sum(mults), k)
 
-    ids = [c.id for c in profile.candidates]
-    hopefuls = set(ids)
-    firsts: dict[int, list[tuple[tuple[int, ...], int, int]]] = {
-        cid: [] for cid in ids
-    }
-    totals = [0] * len(ids)
-    for bt in profile.ballots:
-        first = bt.ranking[0]
-        firsts[first].append((bt.ranking, 0, bt.multiplicity))
-        totals[first] += bt.multiplicity
-    piles = {cid: [(1, 1, parcels)] for cid, parcels in firsts.items()}
+    hopefuls = set(range(m))
+    firsts: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(m)]
+    totals = [0] * m
+    for bt, n in zip(profile.ballots, mults):
+        if n:
+            first = bt.ranking[0]
+            firsts[first].append((bt.ranking, 0, n))
+            totals[first] += n
+    piles = [[(1, 1, parcels)] for parcels in firsts]
     den = 1
     exhausted = 0
 
     elected: list[int] = []
     pending_surplus: list[int] = []
-    rounds: list[Round] = []
+    rounds: list[Round] | None = [] if log else None
     tie_events: list[TieEvent] = []
+    events = None
 
     def next_usable(ranking: tuple[int, ...], pos: int) -> int | None:
         for idx in range(pos + 1, len(ranking)):
@@ -295,8 +320,7 @@ def scottish_stv(election: Election) -> TabulationResult:
         """Send cid's pile on at p/q of its value, after den grows by q."""
         nonlocal den, exhausted
         if q != 1:
-            for c in ids:
-                totals[c] *= q
+            totals[:] = [total * q for total in totals]
             exhausted *= q
         before = den
         den *= q
@@ -321,26 +345,30 @@ def scottish_stv(election: Election) -> TabulationResult:
                 piles[target].append((unit, den, sent))
         piles[cid] = []
 
+    number = 0
     while True:
-        rnd = Round(
-            len(rounds) + 1,
-            RationalsOver(totals, den),
-            quota,
-            RationalsOver((exhausted,), den),
-        )
-        rounds.append(rnd)
+        number += 1
+        if log:
+            rnd = Round(
+                number,
+                RationalsOver(totals, den),
+                quota,
+                RationalsOver((exhausted,), den),
+            )
+            rounds.append(rnd)
+            events = rnd.events
 
         quota_scaled = quota * den
         pending_surplus += _elect_crossers(
-            totals, quota_scaled, hopefuls, elected, k, rnd, tie_events
+            totals, quota_scaled, hopefuls, elected, k, number, events, tie_events
         )
-        if len(elected) == k or _elect_remaining(hopefuls, elected, k, rnd):
+        if len(elected) == k or _elect_remaining(hopefuls, elected, k, events):
             break
 
         if pending_surplus:
             [c] = _take_first(
                 pending_surplus, 1, totals.__getitem__, "surplus_order",
-                rnd.number, tie_events,
+                number, tie_events,
             )
             pending_surplus.remove(c)
             surplus = totals[c] - quota_scaled
@@ -348,17 +376,176 @@ def scottish_stv(election: Election) -> TabulationResult:
                 g = math.gcd(surplus, totals[c])
                 move_pile(c, surplus // g, totals[c] // g)
                 totals[c] = quota * den
-            rnd.events.append(RoundEvent("surplus", c))
+            if log:
+                events.append(RoundEvent("surplus", c))
         else:
-            c = _eliminate_lowest(totals, hopefuls, rnd, tie_events)
+            c = _eliminate_lowest(totals, hopefuls, number, events, tie_events)
             move_pile(c, 1, 1)
             totals[c] = 0
 
     return _result("scottish", quota, elected, rounds, tie_events)
 
 
+def scottish_stv(election: Election) -> TabulationResult:
+    """Fractional-transfer STV with a fixed integer quota.
+
+    One transfer action per round: distribute the largest pending surplus at
+    value surplus/total per ballot, or eliminate the lowest hopeful at current
+    values. Candidates at or above quota are elected at the top of each round
+    and receive no further transfers; a distributed winner retains exactly the
+    quota. Rounds snapshot totals before that round's action, matching the
+    published votes-by-round layout.
+
+    The count (_scottish_count, which search probes run without the log)
+    adds integers. Every total and the exhausted weight is an integer over
+    one common denominator den, which starts at 1. A surplus transfer
+    reduces surplus/total to p/q and multiplies den and every current
+    amount by q. A pile is a list of groups (value, created, parcels): each
+    parcel (ranking, position of the holder in it, ballot count) is worth
+    value/created per ballot, created being den when the group was made. A
+    transfer sends each group's parcels on as integer counts and adds one
+    product per (group, target), so totals are compared with the quota as
+    total >= quota * den.
+    """
+    profile = election.profile
+    return _scottish_count(profile, profile.multiplicities, election.k, log=True)
+
+
 # ---------------------------------------------------------------------------
 # Meek STV
+
+
+def _meek_count(
+    profile: PreferenceProfile,
+    mults: Sequence[int],
+    k: int,
+    log: bool = False,
+    tolerance=None,
+    max_iterations: int | None = None,
+) -> TabulationResult:
+    """Meek STV over the profile's types at multiplicities mults (see meek_stv).
+
+    Types of multiplicity 0 are skipped, and both V = sum(mults) and the
+    longest ranking L behind scale = D**L are taken from the live types, so
+    the count equals meek_stv on the reduced profile, every integer
+    included; log builds the round log (see "The integer counts" above).
+    tolerance and max_iterations are as for meek_stv.
+    """
+    if tolerance is None:
+        tolerance = rational(1, 10**9)
+    if max_iterations is None:
+        max_iterations = DEFAULT_MEEK_MAX_ITERATIONS
+    if tolerance < 0:
+        raise PreconditionError(f"Meek tolerance must be >= 0, got {tolerance}")
+    if max_iterations < 1:
+        raise PreconditionError(
+            f"Meek max_iterations must be >= 1, got {max_iterations}"
+        )
+    live = [(bt.ranking, n) for bt, n in zip(profile.ballots, mults) if n]
+    total = sum(mults)
+    D = MEEK_KEEP_DENOMINATOR
+    scale = D ** max(len(ranking) for ranking, _ in live)
+    full = total * scale
+    # quota = (full - exhausted) / quota_den = quota_num / quota_den, so a
+    # total T reaches it when T*(k+1) >= quota_num; the tolerance is scaled
+    # to the same unit 1/quota_den, and floored, since it bounds an integer.
+    quota_den = (k + 1) * scale
+    tolerance_scaled = floor_rational(tolerance * quota_den)
+
+    m = profile.m
+    hopefuls = set(range(m))
+    keep = [D] * m
+
+    def group() -> list[tuple[tuple[int, ...], int]]:
+        """Each effective path under the current keep factors, with its weight."""
+        counts: dict[tuple[int, ...], int] = {}
+        for ranking, n in live:
+            path = []
+            for cid in ranking:
+                kf = keep[cid]
+                if kf:
+                    path.append(cid)
+                    if kf == D:
+                        break
+            path = tuple(path)
+            counts[path] = counts.get(path, 0) + n
+        return [(path, n * scale) for path, n in counts.items()]
+
+    def distribute(
+        groups: list[tuple[tuple[int, ...], int]],
+    ) -> tuple[list[int], int]:
+        totals = [0] * m
+        exhausted = 0
+        for path, w in groups:
+            for cid in path:
+                kf = keep[cid]
+                if kf == D:
+                    totals[cid] += w
+                    w = 0
+                    break
+                take = w * kf // D
+                totals[cid] += take
+                w -= take
+            exhausted += w
+        return totals, exhausted
+
+    elected: list[int] = []
+    rounds: list[Round] | None = [] if log else None
+    tie_events: list[TieEvent] = []
+    events = None
+    groups = group()
+
+    number = 0
+    while len(elected) < k:
+        totals, exhausted = distribute(groups)
+        quota_num = full - exhausted
+        number += 1
+        if log:
+            rnd = Round(
+                number,
+                RationalsOver(totals, scale),
+                RationalsOver((quota_num,), quota_den),
+                RationalsOver((exhausted,), scale),
+                keep_factors=RationalsOver(keep, D),
+            )
+            rounds.append(rnd)
+            events = rnd.events
+        if _elect_remaining(hopefuls, elected, k, events):
+            break
+
+        # only a round that fills the seats outright is not an iteration
+        if number > max_iterations:
+            raise MeekNonConvergenceError(max_iterations)
+        # T*(k+1) >= quota_num exactly when T >= ceil(quota_num / (k+1))
+        crossers = _elect_crossers(
+            totals, -(-quota_num // (k + 1)), hopefuls, elected, k, number,
+            events, tie_events,
+        )
+        if len(elected) == k:
+            break
+
+        converged = not crossers and all(
+            abs(totals[c] * (k + 1) - quota_num) <= tolerance_scaled
+            for c in elected
+        )
+        if converged:
+            out = _eliminate_lowest(totals, hopefuls, number, events, tie_events)
+            keep[out] = 0
+            groups = group()
+            continue
+
+        regroup = False
+        for c in elected:
+            if totals[c] > 0:
+                # floor(D * keep*quota/votes), capped at 1
+                kf = min(keep[c] * quota_num // ((k + 1) * totals[c]), D)
+                regroup |= kf == 0 or (kf == D) != (keep[c] == D)
+                keep[c] = kf
+        if regroup:
+            groups = group()
+
+    initial_quota = exact_droop_quota(total, k) if log else None
+    return _result("meek", initial_quota, elected, rounds, tie_events)
 
 
 def meek_stv(
@@ -379,10 +566,11 @@ def meek_stv(
     MeekNonConvergenceError. A negative tolerance or a max_iterations below
     1 raises PreconditionError.
 
-    The count runs in exact integer fixed point, after Hill, Wichmann and
-    Woodall, "Algorithm 123", Computer Journal 30(3), 1987. A keep factor
-    is an integer K <= D = MEEK_KEEP_DENOMINATOR standing for K/D; each
-    update rounds keep*quota/votes down to a multiple of 1/D, far below the
+    The count (_meek_count, which search probes run without the log) is
+    in exact integer fixed point, after Hill, Wichmann and Woodall,
+    "Algorithm 123", Computer Journal 30(3), 1987. A keep factor is an
+    integer K <= D = MEEK_KEEP_DENOMINATOR standing for K/D; each update
+    rounds keep*quota/votes down to a multiple of 1/D, far below the
     default tolerance. With L the longest ranking, a ballot type of
     multiplicity n starts with weight n*D**L, so totals and exhausted weight
     are integers over D**L. A candidate with keep K takes w*K // D, and the
@@ -401,157 +589,44 @@ def meek_stv(
     is on an elimination or an update that moves K to or from D or to 0.
     """
     profile = election.profile
-    k = election.k
-    if tolerance is None:
-        tolerance = rational(1, 10**9)
-    if max_iterations is None:
-        max_iterations = DEFAULT_MEEK_MAX_ITERATIONS
-    if tolerance < 0:
-        raise PreconditionError(f"Meek tolerance must be >= 0, got {tolerance}")
-    if max_iterations < 1:
-        raise PreconditionError(
-            f"Meek max_iterations must be >= 1, got {max_iterations}"
-        )
-    total = profile.total_ballots
-    D = MEEK_KEEP_DENOMINATOR
-    scale = D ** max(len(bt.ranking) for bt in profile.ballots)
-    full = total * scale
-    # quota = (full - exhausted) / quota_den = quota_num / quota_den, so a
-    # total T reaches it when T*(k+1) >= quota_num; the tolerance is scaled
-    # to the same unit 1/quota_den, and floored, since it bounds an integer.
-    quota_den = (k + 1) * scale
-    tolerance_scaled = floor_rational(tolerance * quota_den)
-
-    ids = [c.id for c in profile.candidates]
-    hopefuls = set(ids)
-    keep = [D] * len(ids)
-
-    def group() -> list[tuple[tuple[int, ...], int]]:
-        """Each effective path under the current keep factors, with its weight."""
-        counts: dict[tuple[int, ...], int] = {}
-        for bt in profile.ballots:
-            path = []
-            for cid in bt.ranking:
-                kf = keep[cid]
-                if kf:
-                    path.append(cid)
-                    if kf == D:
-                        break
-            path = tuple(path)
-            counts[path] = counts.get(path, 0) + bt.multiplicity
-        return [(path, n * scale) for path, n in counts.items()]
-
-    def distribute(
-        groups: list[tuple[tuple[int, ...], int]],
-    ) -> tuple[list[int], int]:
-        totals = [0] * len(ids)
-        exhausted = 0
-        for path, w in groups:
-            for cid in path:
-                kf = keep[cid]
-                if kf == D:
-                    totals[cid] += w
-                    w = 0
-                    break
-                take = w * kf // D
-                totals[cid] += take
-                w -= take
-            exhausted += w
-        return totals, exhausted
-
-    elected: list[int] = []
-    rounds: list[Round] = []
-    tie_events: list[TieEvent] = []
-    initial_quota = exact_droop_quota(total, k)
-    groups = group()
-
-    while len(elected) < k:
-        totals, exhausted = distribute(groups)
-        quota_num = full - exhausted
-        rnd = Round(
-            len(rounds) + 1,
-            RationalsOver(totals, scale),
-            RationalsOver((quota_num,), quota_den),
-            RationalsOver((exhausted,), scale),
-            keep_factors=RationalsOver(keep, D),
-        )
-        rounds.append(rnd)
-        if _elect_remaining(hopefuls, elected, k, rnd):
-            break
-
-        # only a round that fills the seats outright is not an iteration
-        if len(rounds) > max_iterations:
-            raise MeekNonConvergenceError(max_iterations)
-        # T*(k+1) >= quota_num exactly when T >= ceil(quota_num / (k+1))
-        crossers = _elect_crossers(
-            totals, -(-quota_num // (k + 1)), hopefuls, elected, k, rnd, tie_events
-        )
-        if len(elected) == k:
-            break
-
-        converged = not crossers and all(
-            abs(totals[c] * (k + 1) - quota_num) <= tolerance_scaled
-            for c in elected
-        )
-        if converged:
-            keep[_eliminate_lowest(totals, hopefuls, rnd, tie_events)] = 0
-            groups = group()
-            continue
-
-        regroup = False
-        for c in elected:
-            if totals[c] > 0:
-                # floor(D * keep*quota/votes), capped at 1
-                kf = min(keep[c] * quota_num // ((k + 1) * totals[c]), D)
-                regroup |= kf == 0 or (kf == D) != (keep[c] == D)
-                keep[c] = kf
-        if regroup:
-            groups = group()
-
-    return _result("meek", initial_quota, elected, rounds, tie_events)
+    return _meek_count(
+        profile, profile.multiplicities, election.k, log=True,
+        tolerance=tolerance, max_iterations=max_iterations,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Expanding Approvals Rule
 
 
-def ear(election: Election) -> TabulationResult:
-    """Expanding approvals with the exact quota V/(k+1).
+def _ear_count(
+    profile: PreferenceProfile, mults: Sequence[int], k: int, log: bool = False
+) -> TabulationResult:
+    """EAR over the profile's types at multiplicities mults (see ear).
 
-    A rank threshold j starts at 1. A candidate's support is the total weight
-    of ballots ranking them at position <= j. While seats remain: elect the
-    unelected candidate with the largest support at or above quota, rescaling
-    supporting ballots by (support - quota)/support; if nobody qualifies,
-    j grows. Should j pass the longest possible ranking with seats still
-    open, the remaining seats go to the candidates with greatest support in
-    turn, each election zeroing its supporters' weights.
+    Types of multiplicity 0 are skipped, and the Droop quota is taken from
+    sum(mults), the live ballots, so the count equals ear on the reduced
+    profile; log builds the round log (see "The integer counts" above).
 
-    The count is exact and adds integers. A weight class is the sequence of
-    rescalings some ballot types have received; a type weighs its
-    multiplicity times its class's factor, a reduced integer fraction
-    (1/1 before any rescaling). counts[c][cid] sums the multiplicities of
-    class-c types ranking cid within their top j, so raising the threshold
-    adds one position per type and an election moves its supporters' counts
-    into one new class per source class. Each support is an integer
-    numerator over den, the lcm of the live classes' factor denominators,
-    so a contender is one with support * qd >= qn * den for the quota qn/qd.
+    The steps read the profile's cached indexes rather than scan every
+    type: raising the threshold past depth j touches only the types in
+    profile.ranked_at[j], and an election touches only the types in
+    profile.ranks_of[chosen] that rank the chosen within the threshold.
     """
-    profile = election.profile
-    k = election.k
     m = profile.m
-    quota = exact_droop_quota(profile.total_ballots, k)
+    quota = exact_droop_quota(sum(mults), k)
     qn, qd = int(quota.numerator), int(quota.denominator)
 
-    ids = [c.id for c in profile.candidates]
-    rankings = [bt.ranking for bt in profile.ballots]
-    mults = [bt.multiplicity for bt in profile.ballots]
+    ballots = profile.ballots
+    ranked_at = profile.ranked_at
+    ranks_of = profile.ranks_of
     factors = [(1, 1)]  # (numerator, denominator) of each class's factor
-    cls = [0] * len(rankings)
+    cls = [0] * len(mults)
     counts = [[0] * m]
-    for ranking, n in zip(rankings, mults):
-        counts[0][ranking[0]] += n
+    for t, cid in ranked_at[0]:
+        counts[0][cid] += mults[t]
     elected: list[int] = []
-    rounds: list[Round] = []
+    rounds: list[Round] | None = [] if log else None
     tie_events: list[TieEvent] = []
     notes: list[str] = []
 
@@ -567,13 +642,14 @@ def ear(election: Election) -> TabulationResult:
                     support[cid] += weight * n
         if j <= m:
             contenders = [
-                c for c in ids
+                c for c in range(m)
                 if c not in elected and support[c] * qd >= qn * den
             ]
             if not contenders:
-                for t, ranking in enumerate(rankings):
-                    if len(ranking) > j:
-                        counts[cls[t]][ranking[j]] += mults[t]
+                for t, cid in (ranked_at[j] if j < len(ranked_at) else ()):
+                    n = mults[t]
+                    if n:
+                        counts[cls[t]][cid] += n
                 j += 1
                 continue
         else:
@@ -583,18 +659,18 @@ def ear(election: Election) -> TabulationResult:
                     "rank thresholds exhausted; remaining seats filled by "
                     "greatest support with supporter weights zeroed"
                 )
-            contenders = [c for c in ids if c not in elected]
+            contenders = [c for c in range(m) if c not in elected]
         [chosen] = _take_first(
-            contenders, 1, support.__getitem__, "election", len(rounds) + 1,
+            contenders, 1, support.__getitem__, "election", len(elected) + 1,
             tie_events,
         )
         # (support - quota) / support of the chosen over den, as (num, den)
         over = support[chosen] * qd
         scale = (over - qn * den, over) if j <= m else (0, 1)
         moved: dict[int, int] = {}  # source class -> its rescaled class
-        for t, ranking in enumerate(rankings):
-            top = ranking[:j]
-            if chosen in top:
+        for t, pos in ranks_of[chosen]:
+            n = mults[t]
+            if pos < j and n:
                 src = cls[t]
                 if src not in moved:
                     moved[src] = len(factors)
@@ -604,22 +680,54 @@ def ear(election: Election) -> TabulationResult:
                     factors.append((num // g, d // g))
                     counts.append([0] * m)
                 cls[t] = dst = moved[src]
-                for cid in top:
-                    counts[src][cid] -= mults[t]
-                    counts[dst][cid] += mults[t]
-        rounds.append(
-            Round(
-                len(rounds) + 1,
-                RationalsOver(support, den),
-                quota,
-                ZERO,
-                events=[RoundEvent("elected", chosen)],
-                threshold=j,
+                for cid in ballots[t].ranking[:j]:
+                    counts[src][cid] -= n
+                    counts[dst][cid] += n
+        if log:
+            rounds.append(
+                Round(
+                    len(elected) + 1,
+                    RationalsOver(support, den),
+                    quota,
+                    ZERO,
+                    events=[RoundEvent("elected", chosen)],
+                    threshold=j,
+                )
             )
-        )
         elected.append(chosen)
 
     return _result("ear", quota, elected, rounds, tie_events, notes)
+
+
+def ear(election: Election) -> TabulationResult:
+    """Expanding approvals with the exact quota V/(k+1).
+
+    A rank threshold j starts at 1. A candidate's support is the total weight
+    of ballots ranking them at position <= j. While seats remain: elect the
+    unelected candidate with the largest support at or above quota, rescaling
+    supporting ballots by (support - quota)/support; if nobody qualifies,
+    j grows. Should j pass the longest possible ranking with seats still
+    open, the remaining seats go to the candidates with greatest support in
+    turn, each election zeroing its supporters' weights.
+
+    The count (_ear_count, which search probes run without the log) is
+    exact and adds integers. A weight class is the sequence of rescalings
+    some ballot types have received; a type weighs its multiplicity times
+    its class's factor, a reduced integer fraction (1/1 before any
+    rescaling). counts[c][cid] sums the multiplicities of class-c types
+    ranking cid within their top j, so raising the threshold adds one
+    position per type and an election moves its supporters' counts into
+    one new class per source class. Each support is an integer numerator
+    over den, the lcm of the live classes' factor denominators, so a
+    contender is one with support * qd >= qn * den for the quota qn/qd.
+    """
+    profile = election.profile
+    return _ear_count(profile, profile.multiplicities, election.k, log=True)
+
+
+# The one count of each integer-counting rule, by tag: tabulate runs it
+# with its round log, criteria.ProbeSession without.
+COUNTS = {"scottish": _scottish_count, "meek": _meek_count, "ear": _ear_count}
 
 
 # ---------------------------------------------------------------------------
@@ -842,12 +950,13 @@ def tabulate(
         raise PreconditionError(
             f"tolerance and max_iterations apply to 'meek' only, not {method!r}"
         )
-    if method == "scottish":
-        return scottish_stv(election)
-    if method == "meek":
-        return meek_stv(election, tolerance=tolerance, max_iterations=max_iterations)
-    if method == "ear":
-        return ear(election)
+    count = COUNTS.get(method)
+    if count is not None:
+        profile = election.profile
+        settings = {}
+        if method == "meek":
+            settings = {"tolerance": tolerance, "max_iterations": max_iterations}
+        return count(profile, profile.multiplicities, election.k, True, **settings)
     if method in CC_MODELS:
         return _one_round(method, cc(election, CC_MODELS[method]), {})
     if method == "positional":

@@ -91,11 +91,46 @@ class PreferenceProfile:
     def m(self) -> int:
         return len(self.candidates)
 
+    # The cached views below live in the instance's __dict__, outside the
+    # dataclass fields, so they take no part in ==, hash or repr.
+
     @cached_property
     def total_ballots(self) -> int:
-        # Cached in the instance's __dict__, outside the dataclass fields,
-        # so it takes no part in ==, hash or repr.
-        return sum(bt.multiplicity for bt in self.ballots)
+        return sum(self.multiplicities)
+
+    @cached_property
+    def multiplicities(self) -> tuple[int, ...]:
+        """Each ballot type's multiplicity, in canonical order."""
+        return tuple(bt.multiplicity for bt in self.ballots)
+
+    @cached_property
+    def ranked_at(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each rank depth d, the (type index, candidate) pairs ranked there.
+
+        Only the types that rank more than d candidates appear at depth d,
+        in canonical order.
+        """
+        depth = max(len(bt.ranking) for bt in self.ballots)
+        return tuple(
+            tuple(
+                (t, bt.ranking[d])
+                for t, bt in enumerate(self.ballots)
+                if len(bt.ranking) > d
+            )
+            for d in range(depth)
+        )
+
+    @cached_property
+    def ranks_of(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each candidate, the (type index, position) pairs ranking them.
+
+        Positions count from 0, and the pairs are in canonical order.
+        """
+        pairs: list[list[tuple[int, int]]] = [[] for _ in self.candidates]
+        for t, bt in enumerate(self.ballots):
+            for pos, cid in enumerate(bt.ranking):
+                pairs[cid].append((t, pos))
+        return tuple(map(tuple, pairs))
 
     @classmethod
     def from_ballots(

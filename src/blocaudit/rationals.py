@@ -35,9 +35,10 @@ class RationalsOver(Mapping):
     Scottish STV, Meek and EAR count in integers over one denominator, and a
     Round's totals (and Meek's keep factors) are this mapping of them, its
     quota and exhausted weight a one-entry one: a rational is built only when
-    an entry is read, so a search probe that keeps only the winners builds
-    none. nums is copied so a Round never changes, to a list, since freed
-    short tuples linger on CPython's tuple free list.
+    an entry is read. Only a count asked for its round log builds these; a
+    search probe runs the count without one and builds none. nums is copied
+    so a Round never changes, to a list, since freed short tuples linger on
+    CPython's tuple free list.
     """
 
     __slots__ = ("_nums", "_den")

@@ -78,3 +78,21 @@ def random_profile(rng: random.Random, m_max=7, v_max=60, k_max=3):
         ballots[(0,)] = 1
     names = [f"c{i}" for i in range(m)]
     return make_election(names, sorted(ballots.items()), k)
+
+
+def seeded_ward(seed, m=8, k=3, voters=200, stop=0.3):
+    """A Plackett-Luce ward of truncated rankings drawn from one seed."""
+    rng = random.Random(seed)
+    strengths = [rng.uniform(0.3, 2.0) for _ in range(m)]
+    counts = {}
+    for _ in range(voters):
+        remaining = list(range(m))
+        ranking = []
+        while remaining:
+            pick = rng.choices(range(len(remaining)),
+                               [strengths[c] for c in remaining])[0]
+            ranking.append(remaining.pop(pick))
+            if rng.random() < stop:
+                break
+        counts[tuple(ranking)] = counts.get(tuple(ranking), 0) + 1
+    return make_election([f"c{i}" for i in range(m)], sorted(counts.items()), k)

@@ -6,6 +6,7 @@ import pytest
 
 import blocaudit.cli as cli
 import blocaudit.criteria as criteria
+import blocaudit.methods as methods
 import blocaudit.psc as psc
 from blocaudit import GeneratorSpec, PreconditionError, generate
 from blocaudit.cli import AUDIT_METHODS, _audit_one, main
@@ -186,15 +187,28 @@ def test_audit_one_equals_searches_run_alone(east_ayrshire, north_ayrshire):
 
 
 def test_audit_one_tabulates_each_removal_once(east_ayrshire, monkeypatch):
-    # (rule, profile) pairs tabulated outside the re-verifying public checks
+    # Outside the re-verifying public checks nothing tabulates or removes
+    # ballots but each session's base count; every probe of the three
+    # integer-counting rules runs the rule's count from methods.COUNTS,
+    # once per distinct removal, and the coverage rules score by difference.
     outside_checks = Counter()
+    probes = Counter()  # (rule, multiplicities) a count scored without its log
     in_check = []
-    real_tabulate = criteria.tabulate
 
-    def counting_tabulate(election, method, **kwargs):
-        if not in_check:
-            outside_checks[(method, election.profile.ballots)] += 1
-        return real_tabulate(election, method, **kwargs)
+    def counting(name, real):
+        def run(*args, **kwargs):
+            if not in_check:
+                key = args[1] if name == "tabulate" else None
+                outside_checks[(name, key)] += 1
+            return real(*args, **kwargs)
+        return run
+
+    def counting_count(tag, count):
+        def run(profile, mults, k, log=False, **settings):
+            if not log:
+                probes[(tag, tuple(mults))] += 1
+            return count(profile, mults, k, log, **settings)
+        return run
 
     def flagged(check):
         def run(*args):
@@ -205,15 +219,21 @@ def test_audit_one_tabulates_each_removal_once(east_ayrshire, monkeypatch):
                 in_check.pop()
         return run
 
-    monkeypatch.setattr(criteria, "tabulate", counting_tabulate)
+    for name in ("tabulate", "remove_ballots"):
+        monkeypatch.setattr(criteria, name, counting(name, getattr(criteria, name)))
+    for tag, count in list(methods.COUNTS.items()):
+        monkeypatch.setitem(methods.COUNTS, tag, counting_count(tag, count))
     for name, check in list(criteria.CHECKS.items()):
         monkeypatch.setitem(criteria.CHECKS, name, flagged(check))
     records = []
     for method in AUDIT_METHODS:
         records += _audit_one(east_ayrshire, method, CRITERIA, SearchParams(), True)[0]
     assert records
-    assert len(outside_checks) > len(AUDIT_METHODS)
-    assert max(outside_checks.values()) == 1
+    # one base count per session of a rule that tabulates it
+    assert outside_checks == Counter({("tabulate", tag): 1 for tag in methods.COUNTS})
+    assert {tag for tag, _ in probes} == set(methods.COUNTS)
+    assert len(probes) > len(AUDIT_METHODS)
+    assert max(probes.values()) == 1
 
 
 # --------------------------------------------------------------------- gen
@@ -487,6 +507,32 @@ def test_batch_resume_after_crash_writes_no_duplicates(
     assert code == 0
     assert f"({len([eid for eid in done if eid < victim])} skipped as done)" in err
     for name in names:
+        assert (resumed / name).read_text() == (clean / name).read_text(), name
+
+
+def test_batch_resume_ignores_a_cut_done_line(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    shutil.copy(EAST_AYRSHIRE, corpus_dir / "ea.blt")
+    shutil.copy(NORTH_AYRSHIRE, corpus_dir / "na.blt")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("methods=scottish\n")
+    clean, resumed = tmp_path / "clean", tmp_path / "resumed"
+    for out_dir in (clean, resumed):
+        code, _, _ = run(
+            capsys, "batch", str(corpus_dir), "--config", str(cfg),
+            "--out", str(out_dir),
+        )
+        assert code == 0
+    # a write of "na\n" cut short after its first letter
+    (resumed / "done.txt").write_text("ea\nn")
+    code, _, err = run(
+        capsys, "batch", str(corpus_dir), "--config", str(cfg),
+        "--out", str(resumed), "--resume",
+    )
+    assert code == 0
+    assert "audited 1 elections (1 skipped as done); 0 errored" in err
+    for name in BATCH_OUTPUTS:
         assert (resumed / name).read_text() == (clean / name).read_text(), name
 
 

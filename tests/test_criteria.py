@@ -4,6 +4,8 @@ from collections import Counter
 import pytest
 
 import blocaudit.criteria as criteria
+import blocaudit.methods as methods
+import blocaudit.rationals as rationals
 import golden
 from blocaudit import (
     FAMILIES,
@@ -31,7 +33,7 @@ from blocaudit.criteria import ProbeSession
 from blocaudit.methods import AUDIT_METHODS, CCScores
 from blocaudit.profiles import BallotSelection
 from cc_reference import reference_cc
-from conftest import random_profile
+from conftest import random_profile, seeded_ward
 
 # ----------------------------------------------------------------- checks
 
@@ -531,9 +533,125 @@ def test_session_scores_cc_probes_without_tabulating(
     session = cc_probed_session(east_ayrshire, tag)
     assert len(session._memo) > 20
     assert not outside_checks
-    # the same count sees every probe of a tabulating rule, plus its base
-    cc_probed_session(east_ayrshire, "scottish")
-    assert outside_checks["tabulate"] == outside_checks["remove_ballots"] + 1 > 20
+    # the integer-counting rules tabulate only their base count; their
+    # count from methods.COUNTS scores every distinct probe once, unlogged
+    probes = Counter()
+
+    def counting_count(rule, count):
+        def run(profile, mults, k, log=False, **settings):
+            if not log:
+                probes[rule] += 1
+            return count(profile, mults, k, log, **settings)
+        return run
+
+    for rule, count in list(methods.COUNTS.items()):
+        monkeypatch.setitem(methods.COUNTS, rule, counting_count(rule, count))
+    for rule in methods.COUNTS:
+        session = cc_probed_session(east_ayrshire, rule)
+        assert outside_checks == Counter(tabulate=1)
+        assert probes == Counter({rule: len(session._memo)})
+        assert len(session._memo) > 20
+        outside_checks.clear()
+        probes.clear()
+
+
+# ------------------------------------------- probes of the integer counts
+
+
+def count_equivalence_elections(east_ayrshire, north_ayrshire):
+    yield east_ayrshire
+    yield north_ayrshire
+    for family in FAMILIES:
+        for k in (2, 3, 4):
+            try:
+                yield generate(GeneratorSpec(family, k)).election
+            except PreconditionError:
+                pass  # the family has no construction with k seats
+    for seed in (11, 2024, 31337):
+        yield seeded_ward(seed, m=7, voters=120)
+
+
+def probe_removals(rng, profile, n):
+    """n seeded random removals, then the edge cases, each leaving a ballot.
+
+    The edge cases take every ballot of the longest rankings (Meek's L
+    shrinks), every first preference of each candidate, and all but one
+    ballot of the profile.
+    """
+    total = profile.total_ballots
+    ballots = profile.ballots
+    removals = []
+    for _ in range(n):
+        removals.append(BallotSelection(tuple(
+            (t, rng.randint(1, bt.multiplicity))
+            for t, bt in enumerate(ballots) if rng.random() < 0.3
+        )))
+    longest = max(len(bt.ranking) for bt in ballots)
+    removals.append(BallotSelection(tuple(
+        (t, bt.multiplicity)
+        for t, bt in enumerate(ballots) if len(bt.ranking) == longest
+    )))
+    for c in range(profile.m):
+        removals.append(BallotSelection(tuple(
+            (t, bt.multiplicity)
+            for t, bt in enumerate(ballots) if bt.ranking[0] == c
+        )))
+    kept = rng.randrange(len(ballots))
+    removals.append(BallotSelection(tuple(
+        (t, bt.multiplicity - (t == kept)) for t, bt in enumerate(ballots)
+    )))
+    return [sel for sel in removals if sel and sel.total < total]
+
+
+def test_session_count_probes_match_tabulating_the_reduced_election(
+    east_ayrshire, north_ayrshire
+):
+    # every unlogged probe of Scottish, Meek and EAR gives the winners and
+    # tie flag of tabulating the election that remove_ballots leaves
+    rng = random.Random(1717)
+    probes = tied = shrunk = single = 0
+    for election in count_equivalence_elections(east_ayrshire, north_ayrshire):
+        profile, k = election.profile, election.k
+        longest = max(len(bt.ranking) for bt in profile.ballots)
+        removals = probe_removals(rng, profile, 8)
+        for tag in methods.COUNTS:
+            session = ProbeSession(election, tag)
+            for selection in removals:
+                reduced = remove_ballots(profile, selection)
+                want = tabulate(Election(reduced, k), tag).winners
+                assert session.winners_after(selection) == want, (
+                    election.title, tag, selection
+                )
+                probes += 1
+                tied += want.tie_flag
+                shrunk += max(len(bt.ranking) for bt in reduced.ballots) < longest
+                single += reduced.total_ballots == 1
+    assert probes > 1000 and tied and shrunk and single
+
+
+@pytest.mark.parametrize("tag", ["scottish", "meek", "ear"])
+def test_session_count_probes_build_no_round_log(
+    east_ayrshire, north_ayrshire, monkeypatch, tag
+):
+    rng = random.Random(4242)
+    cases = []
+    for election in (east_ayrshire, north_ayrshire):
+        profile = election.profile
+        for selection in probe_removals(rng, profile, 4):
+            reduced = Election(remove_ballots(profile, selection), election.k)
+            cases.append((election, selection, tabulate(reduced, tag).winners))
+    sessions = {e: ProbeSession(e, tag) for e in (east_ayrshire, north_ayrshire)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a probe built part of a round log")
+
+    for module, name in (
+        (methods, "Round"), (methods, "RoundEvent"), (methods, "RoundLog"),
+        (methods, "RationalsOver"), (rationals, "RationalsOver"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    for election, selection, want in cases:
+        assert sessions[election].winners_after(selection) == want
 
 
 # ------------------------------------------------------------------- oracle

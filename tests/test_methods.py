@@ -37,7 +37,7 @@ import blocaudit.rationals as rationals
 from blocaudit.methods import TieEvent
 from blocaudit.rationals import ONE, ZERO, rational
 from cc_reference import reference_cc
-from conftest import assert_rounds_match, random_profile, round1
+from conftest import assert_rounds_match, random_profile, round1, seeded_ward
 from ear_reference import reference_ear
 from meek_reference import reference_meek_stv
 from scottish_reference import reference_scottish_stv
@@ -597,24 +597,6 @@ def test_ear_round_logs_match_rational_reference_on_worst_cases(family, k):
     )
     for election in (case.election, reduced):
         assert_same_count(ear(election), reference_ear(election))
-
-
-def seeded_ward(seed, m=8, k=3, voters=200, stop=0.3):
-    """A Plackett-Luce ward of truncated rankings drawn from one seed."""
-    rng = random.Random(seed)
-    strengths = [rng.uniform(0.3, 2.0) for _ in range(m)]
-    counts = {}
-    for _ in range(voters):
-        remaining = list(range(m))
-        ranking = []
-        while remaining:
-            pick = rng.choices(range(len(remaining)),
-                               [strengths[c] for c in remaining])[0]
-            ranking.append(remaining.pop(pick))
-            if rng.random() < stop:
-                break
-        counts[tuple(ranking)] = counts.get(tuple(ranking), 0) + 1
-    return make_election([f"c{i}" for i in range(m)], sorted(counts.items()), k)
 
 
 def loser_removals(election, winners):
