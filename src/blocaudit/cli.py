@@ -51,7 +51,7 @@ from .criteria import (
     search_party_swaps,
 )
 from .errors import ComputationError, InputError
-from .formats import load_election, serialize_blt
+from .formats import PARSERS, load_election, serialize_blt
 from .methods import (
     AUDIT_METHODS,
     METHOD_TAGS,
@@ -80,11 +80,13 @@ def _parse_list(text: str, allowed: tuple[str, ...], label: str) -> list[str]:
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
         raise InputError(f"empty {label} list")
-    for item in items:
+    for i, item in enumerate(items):
         if item not in allowed:
             raise InputError(
                 f"unknown {label} {item!r}; expected one of {', '.join(allowed)}"
             )
+        if item in items[:i]:
+            raise InputError(f"duplicate {label} {item!r}")
     return items
 
 
@@ -347,7 +349,7 @@ def cmd_batch(args) -> int:
     *_, done_path = ledgers  # the table lists the done ledger last
 
     files = sorted(
-        [p for p in corpus.iterdir() if p.suffix in (".blt", ".csv")],
+        [p for p in corpus.iterdir() if p.suffix.lower() in PARSERS],
         key=lambda p: p.stem,
     )
     by_id: dict[str, Path] = {}

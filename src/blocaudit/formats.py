@@ -256,20 +256,26 @@ def serialize_blt(election: Election) -> str:
     return "\n".join(out) + "\n"
 
 
+# The parser of each election file extension, compared lower-cased.
+PARSERS = {".blt": parse_blt, ".csv": parse_csv}
+
+
 def load_election(path: str | Path) -> Election:
-    """Read a .blt or .csv election file."""
+    """Read a .blt or .csv election file (the extension in any case)."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
-        election = parse_csv(text)
-    elif suffix == ".blt":
-        election = parse_blt(text)
-    else:
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot decode {path} as UTF-8: byte {exc.object[exc.start]:#04x} "
+            f"at offset {exc.start}"
+        ) from exc
+    parse = PARSERS.get(path.suffix.lower())
+    if parse is None:
         raise InputError(f"unsupported election file extension {path.suffix!r}")
+    election = parse(text)
     if not election.title:
         election = Election(election.profile, election.k, path.stem)
     return election

@@ -267,6 +267,12 @@ def _eliminate_lowest(
 # RoundEvent or RationalsOver and returns a log of None. The tie events
 # are kept either way, since the tie flag is read from them.
 #
+# Scottish and EAR keep their values as integers over one common
+# denominator den, which starts at 1 and is multiplied by q when a transfer
+# keeps p/q (in lowest terms) of a value: Scottish its totals and exhausted
+# weight, EAR one weight per ballot type and one support per candidate.
+# Meek's totals are integers over the fixed scale D**L.
+#
 # Exactness: remove_ballots keeps the canonical type order and drops the
 # types that reach 0, so a count that skips the types of multiplicity 0
 # sees the reduced profile's types, in its order, with its counts. What a
@@ -620,11 +626,11 @@ def _ear_count(
     ballots = profile.ballots
     ranked_at = profile.ranked_at
     ranks_of = profile.ranks_of
-    factors = [(1, 1)]  # (numerator, denominator) of each class's factor
-    cls = [0] * len(mults)
-    counts = [[0] * m]
+    weight = list(mults)
+    support = [0] * m
     for t, cid in ranked_at[0]:
-        counts[0][cid] += mults[t]
+        support[cid] += weight[t]
+    den = 1
     elected: list[int] = []
     rounds: list[Round] | None = [] if log else None
     tie_events: list[TieEvent] = []
@@ -632,14 +638,6 @@ def _ear_count(
 
     j = 1
     while len(elected) < k:
-        live = [(num, d, row) for (num, d), row in zip(factors, counts) if num]
-        den = math.lcm(*(d for _, d, _ in live))
-        support = [0] * m
-        for num, d, row in live:
-            weight = num * (den // d)
-            for cid, n in enumerate(row):
-                if n:
-                    support[cid] += weight * n
         if j <= m:
             contenders = [
                 c for c in range(m)
@@ -647,13 +645,11 @@ def _ear_count(
             ]
             if not contenders:
                 for t, cid in (ranked_at[j] if j < len(ranked_at) else ()):
-                    n = mults[t]
-                    if n:
-                        counts[cls[t]][cid] += n
+                    support[cid] += weight[t]
                 j += 1
                 continue
         else:
-            # Past the longest ranking, so the counts hold whole rankings.
+            # Past the longest ranking, so the supports count whole rankings.
             if not notes:
                 notes.append(
                     "rank thresholds exhausted; remaining seats filled by "
@@ -664,25 +660,6 @@ def _ear_count(
             contenders, 1, support.__getitem__, "election", len(elected) + 1,
             tie_events,
         )
-        # (support - quota) / support of the chosen over den, as (num, den)
-        over = support[chosen] * qd
-        scale = (over - qn * den, over) if j <= m else (0, 1)
-        moved: dict[int, int] = {}  # source class -> its rescaled class
-        for t, pos in ranks_of[chosen]:
-            n = mults[t]
-            if pos < j and n:
-                src = cls[t]
-                if src not in moved:
-                    moved[src] = len(factors)
-                    num = factors[src][0] * scale[0]
-                    d = factors[src][1] * scale[1]
-                    g = math.gcd(num, d)
-                    factors.append((num // g, d // g))
-                    counts.append([0] * m)
-                cls[t] = dst = moved[src]
-                for cid in ballots[t].ranking[:j]:
-                    counts[src][cid] -= n
-                    counts[dst][cid] += n
         if log:
             rounds.append(
                 Round(
@@ -695,6 +672,24 @@ def _ear_count(
                 )
             )
         elected.append(chosen)
+        # Supporters keep p/q of their weight: (support - quota) / support in
+        # lowest terms, or 0 past the longest ranking.
+        p, q = 0, 1
+        if j <= m:
+            over = support[chosen] * qd
+            g = math.gcd(over - qn * den, over)
+            p, q = (over - qn * den) // g, over // g
+        if q != 1:
+            den *= q
+            weight = [w * q for w in weight]
+            support = [s * q for s in support]
+        for t, pos in ranks_of[chosen]:
+            w = weight[t]
+            if pos < j and w:
+                cut = w - w // q * p
+                weight[t] -= cut
+                for cid in ballots[t].ranking[:j]:
+                    support[cid] -= cut
 
     return _result("ear", quota, elected, rounds, tie_events, notes)
 
@@ -711,15 +706,16 @@ def ear(election: Election) -> TabulationResult:
     turn, each election zeroing its supporters' weights.
 
     The count (_ear_count, which search probes run without the log) is
-    exact and adds integers. A weight class is the sequence of rescalings
-    some ballot types have received; a type weighs its multiplicity times
-    its class's factor, a reduced integer fraction (1/1 before any
-    rescaling). counts[c][cid] sums the multiplicities of class-c types
-    ranking cid within their top j, so raising the threshold adds one
-    position per type and an election moves its supporters' counts into
-    one new class per source class. Each support is an integer numerator
-    over den, the lcm of the live classes' factor denominators, so a
-    contender is one with support * qd >= qn * den for the quota qn/qd.
+    exact and adds integers, as Scottish STV's does. Each ballot type's
+    weight and each candidate's support is an integer over one common
+    denominator den, which starts at 1, a type weighing its multiplicity.
+    Raising the threshold to j + 1 adds each type's weight to the support
+    of the candidate it ranks at depth j. An election reduces
+    (support - quota)/support of the chosen to p/q (0/1 past the longest
+    ranking) and multiplies den, every weight and every support by q;
+    each supporter then loses cut = w - w // q * p of its weight w, and so
+    does the support of each candidate in its top j. A contender is one
+    with support * qd >= qn * den for the quota qn/qd.
     """
     profile = election.profile
     return _ear_count(profile, profile.multiplicities, election.k, log=True)

@@ -100,6 +100,16 @@ def test_tabulate_malformed_file(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_tabulate_file_not_in_utf8(tmp_path, capsys):
+    latin = tmp_path / "latin.blt"
+    latin.write_bytes(EAST_AYRSHIRE.read_bytes() + "\u00e9\n".encode("latin-1"))
+    code, out, err = run(capsys, "tabulate", str(latin))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot decode {latin} as UTF-8")
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------------- audit
 
 
@@ -149,6 +159,18 @@ def test_audit_rejects_unknown_criterion(capsys):
     code, _, err = run(capsys, "audit", str(EAST_AYRSHIRE), "-m", "positional")
     assert code == 2
     assert "unknown method" in err
+
+
+def test_audit_rejects_a_repeated_rule_or_criterion(capsys):
+    # a repeat would run the searches again and print each record again
+    for flag, value, message in (
+        ("-m", "scottish,scottish", "duplicate method 'scottish'"),
+        ("--criteria", "ilvb,iwvb,ilvb", "duplicate criterion 'ilvb'"),
+    ):
+        code, out, err = run(capsys, "audit", str(EAST_AYRSHIRE), flag, value)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 def test_audit_sigma_controls_grading(capsys):
@@ -395,6 +417,34 @@ def test_batch_outputs(tmp_path, corpus, capsys):
     assert "ea,scottish,ILVB" in rows
 
 
+def test_batch_reads_upper_case_extensions_and_lists_undecodable_files(
+    tmp_path, capsys
+):
+    # EA.BLT is audited as load_election reads it; latin.blt, not UTF-8,
+    # goes to errors.txt and the run still writes its reports
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    shutil.copy(EAST_AYRSHIRE, corpus_dir / "EA.BLT")
+    (corpus_dir / "latin.blt").write_bytes(
+        EAST_AYRSHIRE.read_bytes() + "\u00e9\n".encode("latin-1")
+    )
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("methods=scottish\ncriteria=ilvb\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        capsys, "batch", str(corpus_dir), "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 0
+    assert "audited 2 elections" in err
+    assert "1 errored" in err
+    assert (out_dir / "done.txt").read_text() == "EA\n"
+    [error] = (out_dir / "errors.txt").read_text().splitlines()
+    assert error.startswith("latin: InputError: cannot decode")
+    rows = (out_dir / "rows.csv").read_text().splitlines()
+    assert rows[1:] == ["EA,scottish,ILVB,7,0"]
+    assert (out_dir / "report.csv").read_text().splitlines()[1] == "ILVB,1,0,0,0,0"
+
+
 def test_batch_deterministic_across_worker_counts(tmp_path, corpus, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(CFG)
@@ -613,6 +663,10 @@ def test_batch_rejects_bad_config(tmp_path, corpus, capsys):
     code, _, err = run(capsys, "batch", str(corpus), "--config", str(cfg))
     assert code == 2
     assert "unknown method" in err
+    cfg.write_text("methods=scottish,meek,scottish\n")
+    code, _, err = run(capsys, "batch", str(corpus), "--config", str(cfg))
+    assert code == 2
+    assert "duplicate method 'scottish'" in err
     # a repeated key is refused, not overridden by its last line
     # before the outputs of an earlier run are unlinked
     cfg.write_text("methods=scottish\nsigma_l=2\nmethods=meek\n")

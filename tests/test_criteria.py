@@ -419,8 +419,6 @@ def test_searches_skip_a_tie_flagged_base(east_ayrshire, monkeypatch, tag):
         election = mirrored(east_ayrshire)
     else:
         election = mirrored(make_election(["a", "b", "c"], [((0,), 5), ((2,), 1)], 1))
-    session = ProbeSession(election, tag)
-    assert session.before.tie_flag
     scored = Counter()
 
     def counting(name, real):
@@ -429,6 +427,13 @@ def test_searches_skip_a_tie_flagged_base(east_ayrshire, monkeypatch, tag):
             return real(*args, **kwargs)
         return run
 
+    # a Scottish probe runs the session's count from methods.COUNTS unlogged
+    for rule, count in list(methods.COUNTS.items()):
+        monkeypatch.setitem(methods.COUNTS, rule, counting(rule, count))
+    session = ProbeSession(election, tag)
+    assert session.before.tie_flag
+    base_counts = Counter(scored)
+    assert base_counts == (Counter(scottish=1) if tag == "scottish" else Counter())
     monkeypatch.setattr(criteria, "tabulate", counting("tabulate", criteria.tabulate))
     monkeypatch.setattr(
         CCScores, "winners_without", counting("cc", CCScores.winners_without)
@@ -440,7 +445,7 @@ def test_searches_skip_a_tie_flagged_base(east_ayrshire, monkeypatch, tag):
         assert search_party_swaps(
             election, tag, criterion=criterion, session=session
         ) == []
-    assert not scored
+    assert scored == base_counts
     assert not session._memo
 
 

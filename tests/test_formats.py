@@ -115,6 +115,17 @@ def test_load_election_dispatches_by_suffix(tmp_path):
     other.write_text(CANONICAL)
     with pytest.raises(Exception):
         load_election(other)
+    # the extension is read in any case
+    upper = tmp_path / "W.BLT"
+    upper.write_text(CANONICAL)
+    assert load_election(upper).title == "Tiny Ward"
+
+
+def test_load_election_refuses_a_file_not_in_utf8(tmp_path):
+    latin = tmp_path / "latin.blt"
+    latin.write_bytes(CANONICAL.replace("Beta", "B\u00e9ta").encode("latin-1"))
+    with pytest.raises(InputError, match="cannot decode .*latin.blt as UTF-8"):
+        load_election(latin)
 
 
 def test_serializer_rejects_embedded_quotes():

@@ -567,6 +567,26 @@ def test_ear_fallback_zeroes_supporters():
     assert third.totals[1] == third.totals[2] == ZERO
 
 
+def test_ear_exact_quota_zeroes_supporters_before_the_last_rank():
+    # q = 20/4 = 5. a (8) is elected at rank 1 and its supporters keep 3/8
+    # of their weight; c then holds exactly 5, so its supporters drop to
+    # weight 0 with ranks still to come, and at rank 2 b collects 2 bullets
+    # + 3 from a's supporters + 0 from c's.
+    election = make_election(
+        ["a", "b", "c", "d", "e"],
+        [((0, 1), 8), ((2, 1), 5), ((3,), 4), ((1,), 2), ((4,), 1)],
+        3,
+    )
+    result = ear(election)
+    assert_same_count(result, reference_ear(election))
+    assert [rnd.events[0].candidate for rnd in result.log.rounds] == [0, 2, 1]
+    assert [rnd.threshold for rnd in result.log.rounds] == [1, 1, 2]
+    assert not result.log.notes
+    second, third = result.log.rounds[1:]
+    assert second.totals[2] == result.log.quota == 5
+    assert dict(third.totals) == {0: 3, 1: 5, 2: 0, 3: 4, 4: 1}
+
+
 def test_ear_round_logs_match_rational_reference_on_wards(
     east_ayrshire, north_ayrshire
 ):
