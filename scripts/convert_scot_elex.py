@@ -160,19 +160,30 @@ def convert_text(
     if not merged:
         raise InputError("no usable ballots after withdrawal handling")
 
-    election = make_election(
-        out_names,
-        sorted(merged.items()),
-        k,
-        parties=out_parties,
-        title=title,
-    )
+    try:
+        election = make_election(
+            out_names,
+            sorted(merged.items()),
+            k,
+            parties=out_parties,
+            title=title,
+        )
+    except ValueError as exc:  # e.g. withdrawals left no more candidates than seats
+        raise InputError(str(exc)) from None
     return serialize_blt(election)
 
 
 def _convert_file(src: Path, dst: Path, parties, keep_parens) -> None:
+    try:
+        text = src.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot decode as UTF-8: byte {exc.object[exc.start]:#04x} "
+            f"at offset {exc.start}"
+        ) from None
+    converted = convert_text(text, parties, keep_parens)
     dst.parent.mkdir(parents=True, exist_ok=True)
-    dst.write_text(convert_text(src.read_text(), parties, keep_parens))
+    dst.write_text(converted, encoding="utf-8")
 
 
 def main(argv=None) -> int:

@@ -263,6 +263,9 @@ PARSERS = {".blt": parse_blt, ".csv": parse_csv}
 def load_election(path: str | Path) -> Election:
     """Read a .blt or .csv election file (the extension in any case)."""
     path = Path(path)
+    parse = PARSERS.get(path.suffix.lower())
+    if parse is None:
+        raise InputError(f"unsupported election file extension {path.suffix!r}")
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -272,9 +275,6 @@ def load_election(path: str | Path) -> Election:
             f"cannot decode {path} as UTF-8: byte {exc.object[exc.start]:#04x} "
             f"at offset {exc.start}"
         ) from exc
-    parse = PARSERS.get(path.suffix.lower())
-    if parse is None:
-        raise InputError(f"unsupported election file extension {path.suffix!r}")
     election = parse(text)
     if not election.title:
         election = Election(election.profile, election.k, path.stem)

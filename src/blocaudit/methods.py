@@ -69,47 +69,20 @@ class RoundEvent:
     candidate: int
 
 
-class _BuiltOnRead:
-    """A Round field given as an exact value or as a one-entry RationalsOver.
-
-    The entry is built the first time the field is read and kept, so a count
-    that keeps its quota or exhausted weight as an integer over a
-    denominator builds no rational for a round nobody reads. Reading with
-    no instance raises AttributeError, which tells dataclass the field has
-    no default.
-    """
-
-    def __set_name__(self, owner, name):
-        self._slot = "_" + name
-
-    def __get__(self, rnd, owner=None):
-        if rnd is None:
-            raise AttributeError(self._slot[1:])
-        value = getattr(rnd, self._slot)
-        if isinstance(value, RationalsOver):
-            value = value[0]
-            setattr(rnd, self._slot, value)
-        return value
-
-    def __set__(self, rnd, value):
-        setattr(rnd, self._slot, value)
-
-
 @dataclass
 class Round:
     """One round of a count, compared by value.
 
     totals and keep_factors (Meek's snapshot) map candidate ids to exact
-    values, quota (None for the one-round rules) and exhausted are exact
-    values. The integer counts give the mappings as RationalsOver and the
-    quota and exhausted weight as one-entry RationalsOver, so each rational
-    is built only when it is read.
+    values; quota (None for the one-round rules) and exhausted are exact
+    values. The integer counts give the two mappings as RationalsOver, so a
+    per-candidate rational is built only when it is read.
     """
 
     number: int
     totals: Mapping[int, object]
-    quota: object | None = _BuiltOnRead()
-    exhausted: object = _BuiltOnRead()
+    quota: object | None
+    exhausted: object
     events: list[RoundEvent] = field(default_factory=list)
     threshold: int | None = None  # EAR rank threshold in force
     keep_factors: Mapping[int, object] | None = None  # Meek snapshot
@@ -262,10 +235,12 @@ def _eliminate_lowest(
 # (profile, mults, k, log): the profile's ballot types in canonical order,
 # type t standing mults[t] times, and the number of seats. tabulate runs it
 # over the profile's own multiplicities with log true, which builds the
-# RoundLog. criteria.ProbeSession runs it with log false over a copy of the
-# source multiplicities less a removal; the count then builds no Round,
-# RoundEvent or RationalsOver and returns a log of None. The tie events
-# are kept either way, since the tie flag is read from them.
+# RoundLog: each Round's quota and exhausted weight as exact rationals, and
+# its per-candidate totals (and Meek's keep factors) as RationalsOver over
+# the count's integers. criteria.ProbeSession runs it with log false over a
+# copy of the source multiplicities less a removal; the count then builds
+# no Round, RoundEvent or RationalsOver and returns a log of None. The tie
+# events are kept either way, since the tie flag is read from them.
 #
 # Scottish and EAR keep their values as integers over one common
 # denominator den, which starts at 1 and is multiplied by q when a transfer
@@ -359,7 +334,7 @@ def _scottish_count(
                 number,
                 RationalsOver(totals, den),
                 quota,
-                RationalsOver((exhausted,), den),
+                rational(exhausted, den),
             )
             rounds.append(rnd)
             events = rnd.events
@@ -510,8 +485,8 @@ def _meek_count(
             rnd = Round(
                 number,
                 RationalsOver(totals, scale),
-                RationalsOver((quota_num,), quota_den),
-                RationalsOver((exhausted,), scale),
+                rational(quota_num, quota_den),
+                rational(exhausted, scale),
                 keep_factors=RationalsOver(keep, D),
             )
             rounds.append(rnd)
@@ -922,37 +897,22 @@ def positional_committee(election: Election, sv: ScoringVector) -> WinnerSet:
 
 
 def tabulate(
-    election: Election,
-    method: str,
-    *,
-    sv: ScoringVector | None = None,
-    tolerance=None,
-    max_iterations: int | None = None,
+    election: Election, method: str, *, sv: ScoringVector | None = None
 ) -> TabulationResult:
     """Run one of the five rules by tag; see METHOD_TAGS.
 
-    sv applies to positional only (default Borda). tolerance and
-    max_iterations apply to meek only (see meek_stv), and None means Meek's
-    default; max_iterations caps the keep-factor iterations of the whole
-    count, summed over every stage, not of each stage. Passing sv,
-    tolerance or max_iterations with any other rule raises
-    PreconditionError.
+    sv applies to positional only (default Borda); passing it with any other
+    rule raises PreconditionError. Meek runs at its default settings (see
+    meek_stv for a tolerance or an iteration cap).
     """
     if sv is not None and method != "positional":
         raise PreconditionError(
             f"a scoring vector applies to 'positional' only, not {method!r}"
         )
-    if (tolerance is not None or max_iterations is not None) and method != "meek":
-        raise PreconditionError(
-            f"tolerance and max_iterations apply to 'meek' only, not {method!r}"
-        )
     count = COUNTS.get(method)
     if count is not None:
         profile = election.profile
-        settings = {}
-        if method == "meek":
-            settings = {"tolerance": tolerance, "max_iterations": max_iterations}
-        return count(profile, profile.multiplicities, election.k, True, **settings)
+        return count(profile, profile.multiplicities, election.k, log=True)
     if method in CC_MODELS:
         return _one_round(method, cc(election, CC_MODELS[method]), {})
     if method == "positional":

@@ -124,3 +124,32 @@ def test_withdrawing_every_ranked_candidate_is_refused():
 """
     with pytest.raises(convert_scot_elex.InputError, match="no usable ballots"):
         convert_text(text)
+
+
+# withdrawing two of three candidates leaves one for two seats
+TOO_FEW = """3 2
+-1 -2
+4 3 0
+0
+"Ann"
+"Bob"
+"Cat"
+"Ward 5"
+"""
+
+
+def test_directory_run_reports_bad_files_and_converts_the_rest(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    latin = PARENS.replace("Ann", "René").encode("latin-1")
+    (raw / "a_latin.blt").write_bytes(latin)
+    (raw / "b_too_few.blt").write_text(TOO_FEW)
+    (raw / "c_good.blt").write_text(WITHDRAWAL)
+    out = tmp_path / "out"
+    assert convert_scot_elex.main([str(raw), "--out", str(out)]) == 2
+    assert [p.name for p in out.iterdir()] == ["c_good.blt"]
+    assert (out / "c_good.blt").read_text(encoding="utf-8") == convert_text(WITHDRAWAL)
+    captured = capsys.readouterr()
+    assert captured.out == "converted 1/3 files\n"
+    assert f"{raw / 'a_latin.blt'}: cannot decode as UTF-8: byte 0xe9" in captured.err
+    assert f"{raw / 'b_too_few.blt'}: seats must satisfy 1 <= k < m" in captured.err

@@ -113,8 +113,15 @@ def test_load_election_dispatches_by_suffix(tmp_path):
     assert load_election(csv_file).title == "CSV Ward"
     other = tmp_path / "w.txt"
     other.write_text(CANONICAL)
-    with pytest.raises(Exception):
+    unsupported = "unsupported election file extension '.txt'"
+    with pytest.raises(InputError, match=unsupported):
         load_election(other)
+    # the extension is refused before the file is read, so a file that is
+    # not UTF-8 is refused for its extension, not for its bytes
+    latin = tmp_path / "ward.txt"
+    latin.write_bytes(CANONICAL.replace("Beta", "B\u00e9ta").encode("latin-1"))
+    with pytest.raises(InputError, match=unsupported):
+        load_election(latin)
     # the extension is read in any case
     upper = tmp_path / "W.BLT"
     upper.write_text(CANONICAL)

