@@ -5,7 +5,8 @@ Scottish council election files circulate in a family of BLT-like layouts
 that differ from the strict canonical form this package reads:
 
 - candidate name lines may be unquoted, single-quoted, or double-quoted,
-  and usually carry no party field;
+  and usually carry no party field (a canonical ``"Name","Party"`` line
+  is read as a name and its party);
 - a withdrawal line (minus-signed candidate numbers) may precede the
   ballot lines;
 - blank lines, CRLF endings, and trailing junk after the title are common.
@@ -16,9 +17,10 @@ This script normalizes all of that:
 2. withdrawn candidates are deleted from every ballot and the remaining
    candidates are renumbered densely (standard pre-count withdrawal
    handling);
-3. parties come from an optional sidecar CSV (``--parties``) with
-   ``name,party`` rows; anyone not listed gets ``IND``. Party labels
-   embedded in the name line as a trailing parenthetical, e.g.
+3. parties come from an optional UTF-8 sidecar CSV (``--parties``) with
+   ``name,party`` rows, which override any party the file gives; anyone
+   with no party gets ``IND``. Party labels embedded in a name line without
+   a party field as a trailing parenthetical, e.g.
    ``"Alice Example (Example Party)"``, are split out automatically
    unless ``--keep-parens`` is given;
 4. output is written through the package serializer, so the result is
@@ -28,6 +30,11 @@ Usage:
     convert_scot_elex.py WARD.blt --out canonical/WARD.blt
     convert_scot_elex.py raw_dir/ --out canonical/ --parties parties.csv
 
+A directory run converts every ``.blt`` file in it, the extension in any
+case. A file that fails is reported as ``<path>: <message>`` and the rest
+are still converted; a sidecar that fails is reported the same way before
+anything is converted. Either exits 2.
+
 The tabulation and audit core never parses third-party layouts directly;
 all corpus files must pass through this converter first.
 """
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import re
 import sys
 from pathlib import Path
@@ -47,6 +55,7 @@ from blocaudit.formats import serialize_blt  # noqa: E402
 from blocaudit.profiles import make_election  # noqa: E402
 
 _PAREN_PARTY = re.compile(r"^(?P<name>.*\S)\s*\((?P<party>[^()]+)\)\s*$")
+_NAME_PARTY = re.compile(r'^"(?P<name>[^"]*)"\s*,\s*"(?P<party>[^"]*)"$')
 
 
 def _unquote(line: str) -> str:
@@ -57,15 +66,33 @@ def _unquote(line: str) -> str:
     return line
 
 
-def _read_party_map(path: str) -> dict[str, str]:
+def _name_and_party(line: str) -> tuple[str, str]:
+    """A name line's name, and its party, or "" when it gives none."""
+    match = _NAME_PARTY.match(line.strip())
+    if match:
+        return match.group("name").strip(), match.group("party").strip()
+    return _unquote(line), ""
+
+
+def _read_utf8(path: Path) -> str:
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot decode as UTF-8: byte {exc.object[exc.start]:#04x} "
+            f"at offset {exc.start}"
+        ) from None
+
+
+def _read_party_map(path: Path) -> dict[str, str]:
     parties: dict[str, str] = {}
-    with open(path, newline="") as f:
-        for row_no, row in enumerate(csv.reader(f), start=1):
-            if not row or not "".join(row).strip():
-                continue
-            if len(row) < 2:
-                raise InputError(f"{path}:{row_no}: expected name,party")
-            parties[row[0].strip()] = row[1].strip()
+    rows = csv.reader(io.StringIO(_read_utf8(path), newline=""))
+    for row_no, row in enumerate(rows, start=1):
+        if not row or not "".join(row).strip():
+            continue
+        if len(row) < 2:
+            raise InputError(f"line {row_no}: expected name,party")
+        parties[row[0].strip()] = row[1].strip()
     return parties
 
 
@@ -118,7 +145,7 @@ def convert_text(
 
     raw_names = []
     while pos < len(lines) and len(raw_names) < m:
-        raw_names.append(_unquote(lines[pos]))
+        raw_names.append(_name_and_party(lines[pos]))
         pos += 1
     if len(raw_names) < m:
         raise ParseError(
@@ -130,9 +157,9 @@ def convert_text(
     party_map = dict(parties or {})
     names: list[str] = []
     name_parties: list[str] = []
-    for raw in raw_names:
-        name, party = raw, ""
-        if not keep_parens:
+    for raw, party in raw_names:
+        name = raw
+        if not party and not keep_parens:
             match = _PAREN_PARTY.match(raw)
             if match:
                 name, party = match.group("name"), match.group("party").strip()
@@ -174,14 +201,7 @@ def convert_text(
 
 
 def _convert_file(src: Path, dst: Path, parties, keep_parens) -> None:
-    try:
-        text = src.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(
-            f"cannot decode as UTF-8: byte {exc.object[exc.start]:#04x} "
-            f"at offset {exc.start}"
-        ) from None
-    converted = convert_text(text, parties, keep_parens)
+    converted = convert_text(_read_utf8(src), parties, keep_parens)
     dst.parent.mkdir(parents=True, exist_ok=True)
     dst.write_text(converted, encoding="utf-8")
 
@@ -196,11 +216,17 @@ def main(argv=None) -> int:
                         help="treat trailing (...) in names as part of the name")
     args = parser.parse_args(argv)
 
-    parties = _read_party_map(args.parties) if args.parties else None
+    parties = None
+    if args.parties:
+        try:
+            parties = _read_party_map(Path(args.parties))
+        except (InputError, OSError) as exc:
+            print(f"{args.parties}: {exc}", file=sys.stderr)
+            return 2
     src = Path(args.src)
     failures = 0
     if src.is_dir():
-        files = sorted(src.glob("*.blt"))
+        files = sorted(p for p in src.iterdir() if p.suffix.lower() == ".blt")
         if not files:
             print(f"no .blt files in {src}", file=sys.stderr)
             return 2

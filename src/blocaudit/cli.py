@@ -51,7 +51,7 @@ from .criteria import (
     search_party_swaps,
 )
 from .errors import ComputationError, InputError
-from .formats import PARSERS, load_election, serialize_blt
+from .formats import PARSERS, load_election, read_utf8, serialize_blt
 from .methods import (
     AUDIT_METHODS,
     METHOD_TAGS,
@@ -267,7 +267,7 @@ def _config_entries(path: str | None):
     A key may appear once; a repeat is an input error, not an override.
     """
     seen = set()
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(read_utf8(Path(path)).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

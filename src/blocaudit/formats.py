@@ -260,6 +260,17 @@ def serialize_blt(election: Election) -> str:
 PARSERS = {".blt": parse_blt, ".csv": parse_csv}
 
 
+def read_utf8(path: Path) -> str:
+    """The text of the file at path; one that is not UTF-8 is an InputError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot decode {path} as UTF-8: byte {exc.object[exc.start]:#04x} "
+            f"at offset {exc.start}"
+        ) from exc
+
+
 def load_election(path: str | Path) -> Election:
     """Read a .blt or .csv election file (the extension in any case)."""
     path = Path(path)
@@ -267,14 +278,9 @@ def load_election(path: str | Path) -> Election:
     if parse is None:
         raise InputError(f"unsupported election file extension {path.suffix!r}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_utf8(path)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(
-            f"cannot decode {path} as UTF-8: byte {exc.object[exc.start]:#04x} "
-            f"at offset {exc.start}"
-        ) from exc
     election = parse(text)
     if not election.title:
         election = Election(election.profile, election.k, path.stem)

@@ -242,10 +242,11 @@ def _eliminate_lowest(
 # no Round, RoundEvent or RationalsOver and returns a log of None. The tie
 # events are kept either way, since the tie flag is read from them.
 #
-# Scottish and EAR keep their values as integers over one common
-# denominator den, which starts at 1 and is multiplied by q when a transfer
-# keeps p/q (in lowest terms) of a value: Scottish its totals and exhausted
-# weight, EAR one weight per ballot type and one support per candidate.
+# Scottish and EAR keep one weight per ballot type as an integer over one
+# common denominator den, which starts at 1 and is multiplied by q when a
+# transfer keeps p/q (in lowest terms) of a value. Over the same den,
+# Scottish keeps its totals and exhausted weight, EAR one support per
+# candidate.
 # Meek's totals are integers over the fixed scale D**L.
 #
 # Exactness: remove_ballots keeps the canonical type order and drops the
@@ -272,16 +273,17 @@ def _scottish_count(
     """
     m = profile.m
     quota = droop_quota(sum(mults), k)
+    ballots = profile.ballots
 
     hopefuls = set(range(m))
-    firsts: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(m)]
+    weight = list(mults)
+    piles: list[list[int]] = [[] for _ in range(m)]
     totals = [0] * m
-    for bt, n in zip(profile.ballots, mults):
+    for t, n in enumerate(mults):
         if n:
-            first = bt.ranking[0]
-            firsts[first].append((bt.ranking, 0, n))
+            first = ballots[t].ranking[0]
+            piles[first].append(t)
             totals[first] += n
-    piles = [[(1, 1, parcels)] for parcels in firsts]
     den = 1
     exhausted = 0
 
@@ -291,39 +293,23 @@ def _scottish_count(
     tie_events: list[TieEvent] = []
     events = None
 
-    def next_usable(ranking: tuple[int, ...], pos: int) -> int | None:
-        for idx in range(pos + 1, len(ranking)):
-            if ranking[idx] in hopefuls:
-                return idx
-        return None
-
     def move_pile(cid: int, p: int, q: int) -> None:
         """Send cid's pile on at p/q of its value, after den grows by q."""
         nonlocal den, exhausted
         if q != 1:
+            den *= q
             totals[:] = [total * q for total in totals]
+            weight[:] = [w * q for w in weight]
             exhausted *= q
-        before = den
-        den *= q
-        for value, created, parcels in piles[cid]:
-            unit = value * p * (before // created)  # per ballot, over den
-            moved: dict[int, list] = {}  # target -> [ballot count, parcels]
-            lost = 0
-            for ranking, pos, count in parcels:
-                idx = next_usable(ranking, pos)
-                if idx is None:
-                    lost += count
-                else:
-                    target = ranking[idx]
-                    entry = moved.get(target)
-                    if entry is None:
-                        moved[target] = entry = [0, []]
-                    entry[0] += count
-                    entry[1].append((ranking, idx, count))
-            exhausted += lost * unit
-            for target, (count, sent) in moved.items():
-                totals[target] += count * unit
-                piles[target].append((unit, den, sent))
+        for t in piles[cid]:
+            w = weight[t] = weight[t] // q * p
+            for target in ballots[t].ranking:
+                if target in hopefuls:
+                    totals[target] += w
+                    piles[target].append(t)
+                    break
+            else:
+                exhausted += w
         piles[cid] = []
 
     number = 0
@@ -378,14 +364,16 @@ def scottish_stv(election: Election) -> TabulationResult:
     published votes-by-round layout.
 
     The count (_scottish_count, which search probes run without the log)
-    adds integers. Every total and the exhausted weight is an integer over
-    one common denominator den, which starts at 1. A surplus transfer
-    reduces surplus/total to p/q and multiplies den and every current
-    amount by q. A pile is a list of groups (value, created, parcels): each
-    parcel (ranking, position of the holder in it, ballot count) is worth
-    value/created per ballot, created being den when the group was made. A
-    transfer sends each group's parcels on as integer counts and adds one
-    product per (group, target), so totals are compared with the quota as
+    adds integers, as EAR's does. Each ballot type's weight, every total
+    and the exhausted weight is an integer over one common denominator den,
+    which starts at 1, a type weighing its multiplicity. A candidate's pile
+    lists the ballot types they hold. A transfer at p/q (surplus/total in
+    lowest terms, or 1/1 for an elimination) multiplies den, every total,
+    every weight and the exhausted weight by q; each held type then weighs
+    w // q * p and goes to the first hopeful it ranks, or adds its weight
+    to the exhausted weight if it ranks none. That hopeful comes after the
+    holder, since every candidate a type ranks before its holder is
+    already elected or eliminated. Totals are compared with the quota as
     total >= quota * den.
     """
     profile = election.profile

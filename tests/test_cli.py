@@ -687,6 +687,21 @@ def test_batch_rejects_bad_config(tmp_path, corpus, capsys):
     assert not (corpus / "audit_out" / "records.jsonl").exists()
 
 
+def test_batch_refuses_config_that_is_not_utf8(tmp_path, corpus, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"# caf\xe9\nmethods=scottish\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "records.jsonl").write_text("earlier\n")
+    code, _, err = run(
+        capsys, "batch", str(corpus), "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 2
+    assert err == f"error: cannot decode {cfg} as UTF-8: byte 0xe9 at offset 5\n"
+    assert [p.name for p in out_dir.iterdir()] == ["records.jsonl"]
+    assert (out_dir / "records.jsonl").read_text() == "earlier\n"
+
+
 @pytest.mark.parametrize(
     "flag, config, env",
     [

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from blocaudit import parse_blt, serialize_blt
+from conftest import EAST_AYRSHIRE
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "convert_scot_elex.py"
 _spec = importlib.util.spec_from_file_location("convert_scot_elex", _SCRIPT)
@@ -153,3 +154,68 @@ def test_directory_run_reports_bad_files_and_converts_the_rest(tmp_path, capsys)
     assert captured.out == "converted 1/3 files\n"
     assert f"{raw / 'a_latin.blt'}: cannot decode as UTF-8: byte 0xe9" in captured.err
     assert f"{raw / 'b_too_few.blt'}: seats must satisfy 1 <= k < m" in captured.err
+
+
+def test_directory_run_reads_the_extension_in_any_case(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "a.blt").write_text(WITHDRAWAL)
+    (raw / "B.BLT").write_text(PARENS)
+    (raw / "notes.txt").write_text("not a ward\n")
+    out = tmp_path / "out"
+    assert convert_scot_elex.main([str(raw), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["B.BLT", "a.blt"]
+    assert (out / "B.BLT").read_text(encoding="utf-8") == convert_text(PARENS)
+    assert capsys.readouterr().out == "converted 2/2 files\n"
+
+
+def test_canonical_file_converts_to_itself(tmp_path):
+    out = tmp_path / "ward5.blt"
+    assert convert_scot_elex.main([str(EAST_AYRSHIRE), "--out", str(out)]) == 0
+    assert out.read_bytes() == EAST_AYRSHIRE.read_bytes()
+
+
+def test_party_map_overrides_party_field():
+    text = """2 1
+3 1 0
+2 2 1 0
+0
+"Ann Example","Red"
+"Bob (Blue)","Green"
+"Ward 6"
+"""
+    election = converted(text, parties={"Ann Example": "Gold"})
+    # a name line with a party field keeps any parenthesis in its name
+    assert names_and_parties(election) == [
+        ("Ann Example", "Gold"),
+        ("Bob (Blue)", "Green"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "sidecar, message",
+    [
+        (None, "No such file or directory"),
+        ("Ren\xe9,Red\n".encode("latin-1"),
+         "cannot decode as UTF-8: byte 0xe9 at offset 3"),
+        (b"Ann,Red\nBob\n", "line 2: expected name,party"),
+    ],
+    ids=["missing", "latin-1", "one-column"],
+)
+def test_bad_party_sidecar_exits_2_before_converting(
+    tmp_path, capsys, sidecar, message
+):
+    parties = tmp_path / "parties.csv"
+    if sidecar is not None:
+        parties.write_bytes(sidecar)
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "ward.blt").write_text(WITHDRAWAL)
+    out = tmp_path / "out"
+    argv = [str(raw), "--out", str(out), "--parties", str(parties)]
+    assert convert_scot_elex.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{parties}: ")
+    assert message in captured.err
+    assert not out.exists()
