@@ -14,26 +14,32 @@ that differ from the strict canonical form this package reads:
 This script normalizes all of that:
 
 1. header ``m k`` is kept;
-2. withdrawn candidates are deleted from every ballot and the remaining
-   candidates are renumbered densely (standard pre-count withdrawal
-   handling);
-3. parties come from an optional UTF-8 sidecar CSV (``--parties``) with
+2. withdrawn candidates and repeated preferences are deleted from every
+   ballot and the remaining candidates are renumbered densely (standard
+   pre-count withdrawal handling); the profile merges the rankings this
+   makes equal;
+3. parties come from an optional sidecar CSV (``--parties``) with
    ``name,party`` rows, which override any party the file gives; anyone
    with no party gets ``IND``. Party labels embedded in a name line without
    a party field as a trailing parenthetical, e.g.
    ``"Alice Example (Example Party)"``, are split out automatically
    unless ``--keep-parens`` is given;
-4. output is written through the package serializer, so the result is
-   byte-stable and guaranteed to re-parse.
+4. output is written through the package serializer as UTF-8, so the
+   result is byte-stable and guaranteed to re-parse.
+
+Ballot files and the sidecar are read by ``formats.read_utf8``, as the core
+reads its own files: UTF-8, with or without a byte-order mark.
 
 Usage:
     convert_scot_elex.py WARD.blt --out canonical/WARD.blt
     convert_scot_elex.py raw_dir/ --out canonical/ --parties parties.csv
 
 A directory run converts every ``.blt`` file in it, the extension in any
-case. A file that fails is reported as ``<path>: <message>`` and the rest
-are still converted; a sidecar that fails is reported the same way before
-anything is converted. Either exits 2.
+case. Each failure line names its file once: a file that cannot be read or
+is not UTF-8 is named by that message, and one that does not convert, or a
+sidecar row without a party, is reported as ``<path>: <message>``. A file
+that fails leaves the rest to be converted; a sidecar that fails stops the
+run before anything is converted. Either exits 2.
 
 The tabulation and audit core never parses third-party layouts directly;
 all corpus files must pass through this converter first.
@@ -51,7 +57,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from blocaudit.errors import InputError, ParseError  # noqa: E402
-from blocaudit.formats import serialize_blt  # noqa: E402
+from blocaudit.formats import read_utf8, serialize_blt  # noqa: E402
 from blocaudit.profiles import make_election  # noqa: E402
 
 _PAREN_PARTY = re.compile(r"^(?P<name>.*\S)\s*\((?P<party>[^()]+)\)\s*$")
@@ -74,24 +80,14 @@ def _name_and_party(line: str) -> tuple[str, str]:
     return _unquote(line), ""
 
 
-def _read_utf8(path: Path) -> str:
-    try:
-        return path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(
-            f"cannot decode as UTF-8: byte {exc.object[exc.start]:#04x} "
-            f"at offset {exc.start}"
-        ) from None
-
-
 def _read_party_map(path: Path) -> dict[str, str]:
     parties: dict[str, str] = {}
-    rows = csv.reader(io.StringIO(_read_utf8(path), newline=""))
+    rows = csv.reader(io.StringIO(read_utf8(path), newline=""))
     for row_no, row in enumerate(rows, start=1):
         if not row or not "".join(row).strip():
             continue
         if len(row) < 2:
-            raise InputError(f"line {row_no}: expected name,party")
+            raise InputError(f"{path}: line {row_no}: expected name,party")
         parties[row[0].strip()] = row[1].strip()
     return parties
 
@@ -102,7 +98,7 @@ def convert_text(
     keep_parens: bool = False,
 ) -> str:
     """Normalize one council-style BLT text to canonical form."""
-    lines = [ln.strip() for ln in text.replace("\r\n", "\n").split("\n")]
+    lines = [ln.strip() for ln in text.split("\n")]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ParseError("empty file", line=1)
@@ -118,6 +114,8 @@ def convert_text(
     ):
         withdrawn = {int(tok[1:]) for tok in lines[pos].split()}
         pos += 1
+    keep = [i for i in range(1, m + 1) if i not in withdrawn]
+    renumber = {old: new for new, old in enumerate(keep)}
 
     ballots: list[tuple[tuple[int, ...], int]] = []
     while pos < len(lines):
@@ -138,7 +136,10 @@ def convert_text(
         for p in prefs:
             if not 1 <= p <= m:
                 raise ParseError(f"candidate number out of range: {p}", line=pos + 1)
-        ballots.append((tuple(prefs), count))
+        # withdrawn candidates and repeated preferences are dropped
+        ranking = tuple(dict.fromkeys(renumber[p] for p in prefs if p in renumber))
+        if ranking:
+            ballots.append((ranking, count))
         pos += 1
     else:
         raise ParseError("missing ballot terminator line '0'", line=len(lines))
@@ -167,32 +168,15 @@ def convert_text(
         names.append(name)
         name_parties.append(party)
 
-    keep = [i for i in range(1, m + 1) if i not in withdrawn]
-    renumber = {old: new for new, old in enumerate(keep)}
-    out_names = [names[i - 1] for i in keep]
-    out_parties = [name_parties[i - 1] for i in keep]
-
-    merged: dict[tuple[int, ...], int] = {}
-    for prefs, count in ballots:
-        seen: set[int] = set()
-        ranking = []
-        for p in prefs:
-            if p in withdrawn or p in seen:
-                continue
-            seen.add(p)
-            ranking.append(renumber[p])
-        if ranking:
-            key = tuple(ranking)
-            merged[key] = merged.get(key, 0) + count
-    if not merged:
+    if not ballots:
         raise InputError("no usable ballots after withdrawal handling")
-
     try:
+        # make_election merges the rankings that withdrawals made equal
         election = make_election(
-            out_names,
-            sorted(merged.items()),
+            [names[i - 1] for i in keep],
+            ballots,
             k,
-            parties=out_parties,
+            parties=[name_parties[i - 1] for i in keep],
             title=title,
         )
     except ValueError as exc:  # e.g. withdrawals left no more candidates than seats
@@ -201,7 +185,11 @@ def convert_text(
 
 
 def _convert_file(src: Path, dst: Path, parties, keep_parens) -> None:
-    converted = convert_text(_read_utf8(src), parties, keep_parens)
+    text = read_utf8(src)
+    try:
+        converted = convert_text(text, parties, keep_parens)
+    except InputError as exc:
+        raise InputError(f"{src}: {exc}") from None
     dst.parent.mkdir(parents=True, exist_ok=True)
     dst.write_text(converted, encoding="utf-8")
 
@@ -221,7 +209,7 @@ def main(argv=None) -> int:
         try:
             parties = _read_party_map(Path(args.parties))
         except (InputError, OSError) as exc:
-            print(f"{args.parties}: {exc}", file=sys.stderr)
+            print(exc, file=sys.stderr)
             return 2
     src = Path(args.src)
     failures = 0
@@ -235,13 +223,13 @@ def main(argv=None) -> int:
                 _convert_file(f, Path(args.out) / f.name, parties, args.keep_parens)
             except (InputError, OSError) as exc:
                 failures += 1
-                print(f"{f}: {exc}", file=sys.stderr)
+                print(exc, file=sys.stderr)
         print(f"converted {len(files) - failures}/{len(files)} files")
     else:
         try:
             _convert_file(src, Path(args.out), parties, args.keep_parens)
         except (InputError, OSError) as exc:
-            print(f"{src}: {exc}", file=sys.stderr)
+            print(exc, file=sys.stderr)
             return 2
         print(f"wrote {args.out}")
     return 2 if failures else 0

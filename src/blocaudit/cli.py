@@ -243,7 +243,9 @@ def cmd_audit(args) -> int:
     records, tied, errors = _audit_file(Path(args.path), settings)
     lines = [json.dumps(record) for record in records]
     if args.out:
-        Path(args.out).write_text("".join(line + "\n" for line in lines))
+        Path(args.out).write_text(
+            "".join(line + "\n" for line in lines), encoding="utf-8"
+        )
     else:
         for line in lines:
             print(line)
@@ -363,7 +365,7 @@ def cmd_batch(args) -> int:
     done: set[str] = set()
     if args.resume and done_path.exists():
         # a last id without its newline was cut short, so it is not done
-        *ids, _cut = done_path.read_text().split("\n")
+        *ids, _cut = done_path.read_text(encoding="utf-8").split("\n")
         done = set(ids)
     # Keep only the lines of elections that are done. Without --resume that
     # empties every ledger; after a crash it drops the lines of an election
@@ -376,8 +378,12 @@ def cmd_batch(args) -> int:
     tasks = [(str(by_id[eid]), settings) for eid in pending]
     # errors.txt starts afresh: every election that errored before is retried.
     with ExitStack() as stack:
-        outs = [stack.enter_context(path.open("a")) for path in ledgers]
-        err_f = stack.enter_context((out_dir / "errors.txt").open("w"))
+        outs = [
+            stack.enter_context(path.open("a", encoding="utf-8")) for path in ledgers
+        ]
+        err_f = stack.enter_context(
+            (out_dir / "errors.txt").open("w", encoding="utf-8")
+        )
         err_f.writelines(line + "\n" for line in dup_errors)
         run = map
         if workers > 1 and len(tasks) > 1:
@@ -405,9 +411,14 @@ def cmd_batch(args) -> int:
     )):
         if i % 100 == 0 and record["election_id"] in by_id:
             checked += 1
-            if not _spot_check(record, by_id[record["election_id"]]):
+            # a record that can no longer be rebuilt fails its check too
+            try:
+                passed, why = _spot_check(record, by_id[record["election_id"]]), ""
+            except (InputError, ComputationError, OSError) as exc:
+                passed, why = False, f": {type(exc).__name__}: {exc}"
+            if not passed:
                 failures += 1
-                print(f"spot-check FAILED: {record}", file=sys.stderr)
+                print(f"spot-check FAILED: {record}{why}", file=sys.stderr)
     print(
         f"audited {len(pending)} elections "
         f"({len(by_id) - len(pending)} skipped as done); "
@@ -424,11 +435,11 @@ def _rewrite_by_election(path: Path, election_of, keep=bool) -> list[str]:
     By default every line naming an election is kept. path is rewritten
     through a temp file and os.replace when that changes it.
     """
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     kept = sorted((line for line in lines if keep(election_of(line))), key=election_of)
     if kept != lines:
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text("".join(line + "\n" for line in kept))
+        tmp.write_text("".join(line + "\n" for line in kept), encoding="utf-8")
         os.replace(tmp, path)
     return kept
 
@@ -437,7 +448,7 @@ def _write_batch_reports(out_dir: Path, records: list[dict]):
     keys = [(r["election_id"], r["method"], r["criterion"]) for r in records]
     violations = Counter(keys)
     swaps = Counter(key for key, r in zip(keys, records) if r["party_swap"])
-    with (out_dir / "rows.csv").open("w", newline="") as f:
+    with (out_dir / "rows.csv").open("w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(
             ["election_id", "method", "criterion", "violations", "party_swaps"]
@@ -447,7 +458,7 @@ def _write_batch_reports(out_dir: Path, records: list[dict]):
 
     # Each rows key is one election with a violation of one criterion under one rule.
     flagged = Counter((criterion, method) for _, method, criterion in violations)
-    with (out_dir / "report.csv").open("w", newline="") as f:
+    with (out_dir / "report.csv").open("w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["criterion", *(m.replace("-", "_") for m in AUDIT_METHODS)])
         for criterion in CRITERIA:
@@ -467,7 +478,7 @@ def cmd_gen(args) -> int:
     spec = GeneratorSpec(family, args.k, a=args.a, b=args.b, c=args.c)
     case = generate(spec)
     out = Path(args.out) if args.out else Path(f"{family.lower()}_k{args.k}.blt")
-    out.write_text(serialize_blt(case.election))
+    out.write_text(serialize_blt(case.election), encoding="utf-8")
     manifest = {
         "family": family,
         "k": args.k,
@@ -487,7 +498,7 @@ def cmd_gen(args) -> int:
     if "sv" in case.options:
         manifest["options"]["sv"] = [str(x) for x in case.options["sv"].s]
     manifest_path = out.with_suffix(".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out} and {manifest_path}")
     return 0
 

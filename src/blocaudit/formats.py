@@ -1,5 +1,11 @@
 """Canonical election file formats.
 
+Every input file (BLT, CSV or a batch config) is read by read_utf8 as
+UTF-8, with or without a byte-order mark; a file that is not UTF-8 is an
+InputError naming it once. scripts/convert_scot_elex.py reads council files
+and its party sidecar through read_utf8 too. serialize_blt writes no mark,
+and every file the CLI writes is UTF-8 whatever the locale.
+
 BLT (text, UTF-8, LF):
     line 1:        "m k"
     ballot lines:  "mult c1 c2 ... ct 0"   (1-based candidate indices)
@@ -261,9 +267,14 @@ PARSERS = {".blt": parse_blt, ".csv": parse_csv}
 
 
 def read_utf8(path: Path) -> str:
-    """The text of the file at path; one that is not UTF-8 is an InputError."""
+    """The text of the file at path, without a leading byte-order mark.
+
+    A file that is not UTF-8 is an InputError naming the path, the byte and
+    its offset in the file.
+    """
     try:
-        return path.read_text(encoding="utf-8")
+        # decoded as plain UTF-8, so an offset counts the mark's three bytes
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputError(
             f"cannot decode {path} as UTF-8: byte {exc.object[exc.start]:#04x} "

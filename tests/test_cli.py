@@ -1,6 +1,11 @@
+import codecs
 import json
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +113,30 @@ def test_tabulate_file_not_in_utf8(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: cannot decode {latin} as UTF-8")
     assert "Traceback" not in err
+
+
+def test_inputs_read_past_a_byte_order_mark(tmp_path, capsys):
+    # a BLT, a CSV and a batch config each read as the copy without the mark
+    csv_text = "seats,1\ncandidate,Ann\ncandidate,Bob\n3,Ann,Bob\n2,Bob\n"
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    outputs = []
+    for root, mark in ((plain, b""), (marked, codecs.BOM_UTF8)):
+        (root / "corpus").mkdir(parents=True)
+        (root / "corpus" / "ea.blt").write_bytes(mark + EAST_AYRSHIRE.read_bytes())
+        (root / "w.csv").write_bytes(mark + csv_text.encode())
+        (root / "cfg.txt").write_bytes(mark + b"methods=scottish\ncriteria=ilvb\n")
+        tabulated = [
+            run(capsys, "tabulate", str(path), "--json")
+            for path in (root / "corpus" / "ea.blt", root / "w.csv")
+        ]
+        code, _, _ = run(capsys, "batch", str(root / "corpus"), "--config",
+                         str(root / "cfg.txt"), "--out", str(root / "out"))
+        outputs.append((tabulated, code, (root / "out" / "rows.csv").read_text()))
+    assert outputs[0] == outputs[1]
+    tabulated, code, rows = outputs[1]
+    assert [code for code, _, _ in tabulated] == [0, 0]
+    assert code == 0
+    assert "ea,scottish,ILVB,7,0" in rows
 
 
 # ------------------------------------------------------------------- audit
@@ -646,6 +675,66 @@ def test_batch_spot_check_failure_exits_nonzero(
     assert "spot-check FAILED" in err
     for name in ("records.jsonl", "rows.csv", "report.csv"):
         assert (out_dir / name).read_text()
+
+
+def test_batch_record_that_cannot_be_rebuilt_fails_its_spot_check(tmp_path, capsys):
+    # a resumed run re-verifies the records of the earlier run against the
+    # file as it is now, which no longer holds the ballots a record removed
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    lines = EAST_AYRSHIRE.read_text().splitlines(keepends=True)
+    (corpus_dir / "ea.blt").write_text("".join(lines))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("methods=scottish\ncriteria=ilvb\n")
+    out_dir = tmp_path / "out"
+    argv = ["batch", str(corpus_dir), "--config", str(cfg), "--out", str(out_dir)]
+    assert run(capsys, *argv)[0] == 0
+    assert lines[1] == "56 1 0\n"  # Holden's bullets, removed by the first record
+    (corpus_dir / "ea.blt").write_text("".join(lines[:1] + lines[2:]))
+    code, _, err = run(capsys, *argv, "--resume")
+    assert code == 1
+    failed, summary = err.splitlines()
+    assert failed.startswith("spot-check FAILED: {'election_id': 'ea', ")
+    assert failed.endswith(": InputError: profile has no ballot type with ranking (0,)")
+    assert summary.startswith("audited 0 elections (1 skipped as done); 0 errored")
+    assert summary.endswith("spot-checked 1, 1 failures")
+
+
+def test_batch_writes_utf8_whatever_the_locale(tmp_path):
+    # an ASCII locale without UTF-8 mode: errors.txt must still hold the
+    # non-ASCII name that a file's parse error quotes
+    package_root = Path(cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(package_root), os.environ.get("PYTHONPATH")])
+           )}
+    preferred = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding())"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if codecs.lookup(preferred).name == "utf-8":
+        pytest.skip("the C locale prefers UTF-8 on this host")
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    shutil.copy(EAST_AYRSHIRE, corpus_dir / "ea.blt")
+    (corpus_dir / "bad.blt").write_bytes(
+        '2 1\n3 1 2 0\n2 2 0\n0\nRen\u00e9\n"Ross"\n"Bad ward"\n'.encode()
+    )
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("methods=scottish\n")
+    out_dir = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from blocaudit.cli import main; "
+         "sys.exit(main())", "batch", str(corpus_dir), "--config", str(cfg),
+         "--out", str(out_dir)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (out_dir / "errors.txt").read_bytes() == (
+        "bad: ParseError: line 5: expected a quoted string, got 'Ren\u00e9'\n"
+    ).encode()
+    assert (out_dir / "done.txt").read_bytes() == b"ea\n"
+    assert (out_dir / "rows.csv").exists() and (out_dir / "report.csv").exists()
 
 
 def test_batch_rejects_bad_config(tmp_path, corpus, capsys):

@@ -1,3 +1,4 @@
+import codecs
 import importlib.util
 from pathlib import Path
 
@@ -152,8 +153,11 @@ def test_directory_run_reports_bad_files_and_converts_the_rest(tmp_path, capsys)
     assert (out / "c_good.blt").read_text(encoding="utf-8") == convert_text(WITHDRAWAL)
     captured = capsys.readouterr()
     assert captured.out == "converted 1/3 files\n"
-    assert f"{raw / 'a_latin.blt'}: cannot decode as UTF-8: byte 0xe9" in captured.err
-    assert f"{raw / 'b_too_few.blt'}: seats must satisfy 1 <= k < m" in captured.err
+    latin, too_few = captured.err.splitlines()
+    assert latin.startswith(f"cannot decode {raw / 'a_latin.blt'} as UTF-8: byte 0xe9")
+    assert too_few.startswith(f"{raw / 'b_too_few.blt'}: seats must satisfy 1 <= k < m")
+    # each line names its file once
+    assert latin.count(str(raw)) == too_few.count(str(raw)) == 1
 
 
 def test_directory_run_reads_the_extension_in_any_case(tmp_path, capsys):
@@ -172,6 +176,14 @@ def test_directory_run_reads_the_extension_in_any_case(tmp_path, capsys):
 def test_canonical_file_converts_to_itself(tmp_path):
     out = tmp_path / "ward5.blt"
     assert convert_scot_elex.main([str(EAST_AYRSHIRE), "--out", str(out)]) == 0
+    assert out.read_bytes() == EAST_AYRSHIRE.read_bytes()
+
+
+def test_byte_order_mark_converts_like_the_file_without_it(tmp_path):
+    marked = tmp_path / "marked.blt"
+    marked.write_bytes(codecs.BOM_UTF8 + EAST_AYRSHIRE.read_bytes())
+    out = tmp_path / "out.blt"
+    assert convert_scot_elex.main([str(marked), "--out", str(out)]) == 0
     assert out.read_bytes() == EAST_AYRSHIRE.read_bytes()
 
 
@@ -195,10 +207,10 @@ def test_party_map_overrides_party_field():
 @pytest.mark.parametrize(
     "sidecar, message",
     [
-        (None, "No such file or directory"),
+        (None, "[Errno 2] No such file or directory: '{path}'"),
         ("Ren\xe9,Red\n".encode("latin-1"),
-         "cannot decode as UTF-8: byte 0xe9 at offset 3"),
-        (b"Ann,Red\nBob\n", "line 2: expected name,party"),
+         "cannot decode {path} as UTF-8: byte 0xe9 at offset 3"),
+        (b"Ann,Red\nBob\n", "{path}: line 2: expected name,party"),
     ],
     ids=["missing", "latin-1", "one-column"],
 )
@@ -216,6 +228,6 @@ def test_bad_party_sidecar_exits_2_before_converting(
     assert convert_scot_elex.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"{parties}: ")
-    assert message in captured.err
+    assert captured.err == message.format(path=parties) + "\n"
+    assert captured.err.count(str(parties)) == 1
     assert not out.exists()

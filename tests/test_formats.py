@@ -1,3 +1,5 @@
+import codecs
+
 import pytest
 
 from blocaudit import load_election, make_election, parse_blt, parse_csv, serialize_blt
@@ -133,6 +135,11 @@ def test_load_election_refuses_a_file_not_in_utf8(tmp_path):
     latin.write_bytes(CANONICAL.replace("Beta", "B\u00e9ta").encode("latin-1"))
     with pytest.raises(InputError, match="cannot decode .*latin.blt as UTF-8"):
         load_election(latin)
+    # a byte-order mark is read past, but its bytes still count in the offset
+    marked = tmp_path / "marked.blt"
+    marked.write_bytes(codecs.BOM_UTF8 + b"3 1\n\xe9\n")
+    with pytest.raises(InputError, match="byte 0xe9 at offset 7$"):
+        load_election(marked)
 
 
 def test_serializer_rejects_embedded_quotes():
