@@ -72,7 +72,6 @@ from .profiles import (
     selection_from_rankings,
 )
 from .psc import (
-    PSCConstraintSet,
     SolidCoalition,
     audit_hare_psc,
     enumerate_psc_committees,
@@ -103,7 +102,6 @@ __all__ = [
     "METHOD_TAGS",
     "MeekNonConvergenceError",
     "OracleBudgetError",
-    "PSCConstraintSet",
     "ParseError",
     "PreconditionError",
     "PreferenceProfile",

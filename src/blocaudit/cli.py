@@ -517,9 +517,9 @@ def cmd_psc(args) -> int:
     for coalition in coalitions:
         members = ", ".join(names[c] for c in sorted(coalition.supported_set))
         report.append(f"  {{{members}}}: {coalition.size}")
-    cset = psc_constraints(election.profile, election.k, q)
-    report.append(f"binding constraints: {len(cset.constraints)}")
-    for constraint in cset.constraints:
+    constraints = psc_constraints(election.profile, election.k, q)
+    report.append(f"binding constraints: {len(constraints)}")
+    for constraint in constraints:
         members = ", ".join(names[c] for c in sorted(constraint.supported_set))
         report.append(
             f"  {{{members}}} (size {constraint.size}) requires {constraint.required}"
@@ -615,6 +615,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Like stderr, stdout writes what its encoding cannot encode (a name in
+    # an ASCII locale) as backslash escapes; a stream without reconfigure
+    # (an in-memory capture) is left as it is.
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(errors="backslashreplace")
     args = _parser().parse_args(argv)
     try:
         return args.func(args) or 0

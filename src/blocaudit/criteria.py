@@ -15,7 +15,10 @@ it admits, its hit predicate, and the pool builder its searches use (ILVB:
 loser-only pools per target loser at sigma_l; IWVB and IWVB_STAR: prefixes
 of _transfer_order at sigma_w). check_* apply a row verbatim: tabulate
 before and after, apply the predicate, return a ViolationRecord or None.
-The searches are heuristics that probe graded fractions of each pool, and
+A record is the criterion's triple (the removal, the committee before it
+and the committee after it) with the criterion and rule tag; the winners
+an IWVB removal displaced are (before - ranked(removal)) - after. The
+searches are heuristics that probe graded fractions of each pool, and
 search_party_swaps restricts the same pools to removals that move one seat
 between two parties. Searches over one (election, rule) can share a
 ProbeSession, so each removal is scored once; audit and batch do. The
@@ -25,10 +28,11 @@ no reduced profile: Scottish, Meek and EAR by running the rule's count
 a round log, and Chamberlin-Courant by difference (methods.CCScores). Only
 the session's base count and the checks tabulate. A rule whose base count
 is tie-flagged is not searched, nor are the pairs of criterion and rule
-that PROVEN_IMMUNE proves clean. Every reported record is re-checked by a
-fresh call to the public check_*, never from the session. oracle_ilvb
-applies check_ilvb to every loser-only removal of a small instance and is
-the ground truth the heuristics are tested against.
+that PROVEN_IMMUNE proves clean. Every reported record is the one a fresh
+call to the public check_* returns, never built from the session; a search
+sets only its party_swap flag. oracle_ilvb applies check_ilvb to every
+loser-only removal of a small instance and is the ground truth the
+heuristics are tested against.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .profiles import (
     ballots_ranking_only,
     fraction_of,
     remove_ballots,
+    selection_ballots,
     selection_ranked_union,
 )
 
@@ -99,8 +104,6 @@ class ViolationRecord:
     removed: BallotSelection
     original_winners: WinnerSet
     modified_winners: WinnerSet
-    target_loser: int | None = None
-    displaced_winner: int | None = None
     party_swap: bool = False
 
     def __post_init__(self):
@@ -260,10 +263,10 @@ class Criterion(NamedTuple):
     require raises PreconditionError unless a removal whose ballots rank the
     candidates `ranked` is one the criterion speaks about; hit(winners,
     ranked, after) says whether the winner set `after` left by that removal
-    violates it. displaces marks the criteria whose records name a displaced
-    winner and whose searches pick a winner A to displace. pools(session, A,
-    B) gives the candidate sets whose ballots the searches remove, each
-    probed at getattr(params, sigma) graded fractions.
+    violates it. displaces marks the criteria whose searches range a winner
+    A to displace over the winners; the others search with A = None.
+    pools(session, A, B) gives the candidate sets whose ballots the searches
+    remove, each probed at getattr(params, sigma) graded fractions.
     """
 
     require: Callable[[frozenset[int], frozenset[int]], None]
@@ -271,10 +274,6 @@ class Criterion(NamedTuple):
     displaces: bool
     pools: Callable[[ProbeSession, int | None, int], list[frozenset[int]]]
     sigma: str
-
-    def displaced(self, winners, ranked, after) -> frozenset[int]:
-        """The unranked winners who lost their seat, if the criterion displaces."""
-        return (winners - ranked) - after if self.displaces else frozenset()
 
 
 CRITERION_TABLE = {
@@ -333,15 +332,7 @@ def _check(
     after = _run(method, _without(election, selection)).winners
     if not spec.hit(before.members, ranked, after.members):
         return None
-    displaced = spec.displaced(before.members, ranked, after.members)
-    return ViolationRecord(
-        criterion,
-        tag,
-        selection,
-        before,
-        after,
-        displaced_winner=min(displaced, default=None),
-    )
+    return ViolationRecord(criterion, tag, selection, before, after)
 
 
 def check_ilvb(
@@ -386,26 +377,21 @@ CHECKS = {"ILVB": check_ilvb, "IWVB": check_iwvb, "IWVB_STAR": check_iwvb_star}
 
 
 def _verified(
-    session: ProbeSession, criterion: str, found: dict, party_swap: bool = False
+    session: ProbeSession,
+    criterion: str,
+    found: Iterable[BallotSelection],
+    party_swap: bool = False,
 ) -> list[ViolationRecord]:
-    """Re-run every found removal through its public check before returning.
+    """The public check's record of every found removal, in the order given.
 
-    found maps each removal to the target loser and the displaced winner the
-    search names in its record.
+    A search adds nothing to the check's record but the party_swap flag.
     """
     check = CHECKS[criterion]
     out = []
-    for selection, (target_loser, displaced_winner) in found.items():
+    for selection in found:
         fresh = check(session.election, session.method, selection)
         if fresh is not None:
-            out.append(
-                replace(
-                    fresh,
-                    target_loser=target_loser,
-                    displaced_winner=displaced_winner,
-                    party_swap=party_swap,
-                )
-            )
+            out.append(replace(fresh, party_swap=party_swap))
     return out
 
 
@@ -453,11 +439,12 @@ def _search(
 
     A (criterion, rule tag) pair in PROVEN_IMMUNE is not probed, and neither
     is a tie-flagged base count: the searches drop every result touching a
-    tie-flagged tabulation, so none could be reported. Without
-    party_swaps, A ranges over the winners when the criterion
-    displaces one and is None otherwise. With party_swaps, A and B come
-    from different parties, each pool drops both parties' candidates, and a
-    hit counts only when it moves one seat from A's party to B's.
+    tie-flagged tabulation, so none could be reported. Without party_swaps,
+    A ranges over the winners when the criterion's displaces is set and is
+    None otherwise. With party_swaps, A and B come from different parties,
+    each pool drops both parties' candidates, and a hit counts only when it
+    moves one seat from A's party to B's. Each removal found is reported
+    once, in the order first found.
     """
     spec = CRITERION_TABLE[criterion]
     params = params or SearchParams()
@@ -476,7 +463,7 @@ def _search(
     sigma = getattr(params, spec.sigma)
     party = {c.id: c.party for c in profile.candidates}
     seats_before = Counter(party[c] for c in winners)
-    found: dict[BallotSelection, tuple[int, int | None]] = {}
+    found: dict[BallotSelection, None] = {}  # an insertion-ordered set
     to_displace = sorted(winners) if spec.displaces or party_swaps else [None]
     for a in to_displace:
         for b in sorted(session.losers):
@@ -500,12 +487,7 @@ def _search(
                         continue
                     if after.tie_flag:
                         continue
-                    displaced = spec.displaced(winners, ranked, after.members)
-                    if party_swaps or a in displaced:
-                        named = a
-                    else:
-                        named = min(displaced, default=None)
-                    found.setdefault(selection, (b, named))
+                    found[selection] = None
     return _verified(session, criterion, found, party_swaps)
 
 
@@ -632,8 +614,8 @@ def record_to_json(
         "criterion": record.criterion,
         "method": record.method,
         "removed": [
-            {"ranking": list(profile.ballots[idx].ranking), "count": count}
-            for idx, count in record.removed.entries
+            {"ranking": list(ranking), "count": count}
+            for ranking, count in selection_ballots(profile, record.removed)
         ],
         "winners_before": sorted(record.original_winners.members),
         "winners_after": sorted(record.modified_winners.members),

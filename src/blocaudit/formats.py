@@ -288,11 +288,7 @@ def load_election(path: str | Path) -> Election:
     parse = PARSERS.get(path.suffix.lower())
     if parse is None:
         raise InputError(f"unsupported election file extension {path.suffix!r}")
-    try:
-        text = read_utf8(path)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    election = parse(text)
+    election = parse(read_utf8(path))
     if not election.title:
         election = Election(election.profile, election.k, path.stem)
     return election

@@ -51,12 +51,6 @@ class Constraint(NamedTuple):
     required: int
 
 
-@dataclass(frozen=True)
-class PSCConstraintSet:
-    q: object  # exact rational quota
-    constraints: tuple[Constraint, ...]
-
-
 def solid_coalitions(profile: PreferenceProfile) -> list[SolidCoalition]:
     """Every ballot-prefix candidate set with its solidly committed ballot count.
 
@@ -74,7 +68,9 @@ def solid_coalitions(profile: PreferenceProfile) -> list[SolidCoalition]:
     ]
 
 
-def psc_constraints(profile: PreferenceProfile, k: int, q) -> PSCConstraintSet:
+def psc_constraints(
+    profile: PreferenceProfile, k: int, q
+) -> tuple[Constraint, ...]:
     """Seat entitlements at quota q: a coalition of size >= j*q is owed j seats.
 
     The entitlement is capped by the coalition's own candidate count and by
@@ -90,10 +86,12 @@ def psc_constraints(profile: PreferenceProfile, k: int, q) -> PSCConstraintSet:
             constraints.append(
                 Constraint(coalition.supported_set, coalition.size, required)
             )
-    return PSCConstraintSet(q, tuple(constraints))
+    return tuple(constraints)
 
 
-def is_psc_committee(committee: Iterable[int], constraint_set: PSCConstraintSet) -> bool:
+def is_psc_committee(
+    committee: Iterable[int], constraints: tuple[Constraint, ...]
+) -> bool:
     """True iff the committee meets every constraint's seat entitlement.
 
     The committee is expected to have exactly the k the constraints were
@@ -101,18 +99,15 @@ def is_psc_committee(committee: Iterable[int], constraint_set: PSCConstraintSet)
     """
     members = frozenset(committee)
     return all(
-        len(members & c.supported_set) >= c.required
-        for c in constraint_set.constraints
+        len(members & c.supported_set) >= c.required for c in constraints
     )
 
 
 def enumerate_psc_committees(election: Election, q) -> list[tuple[int, ...]]:
     """All size-k committees compatible with q-PSC, in lexicographic order."""
     enumeration = committees(election.profile.m, election.k)
-    cset = psc_constraints(election.profile, election.k, q)
-    return [
-        committee for committee in enumeration if is_psc_committee(committee, cset)
-    ]
+    constraints = psc_constraints(election.profile, election.k, q)
+    return [c for c in enumeration if is_psc_committee(c, constraints)]
 
 
 def qpsc_scoring_rule(election: Election, q, sv: ScoringVector) -> WinnerSet:
@@ -168,11 +163,10 @@ def qpsc_method(sv: ScoringVector, q_mode: str = "droop"):
 def audit_hare_psc(election: Election, winners: WinnerSet) -> list[Constraint]:
     """Constraints at the Hare quota V/k that the winner set fails. Empty is a pass."""
     q = hare_quota(election.profile.total_ballots, election.k)
-    cset = psc_constraints(election.profile, election.k, q)
     members = winners.members
     return [
         c
-        for c in cset.constraints
+        for c in psc_constraints(election.profile, election.k, q)
         if len(members & c.supported_set) < c.required
     ]
 

@@ -95,6 +95,8 @@ def test_tabulate_missing_file(capsys):
     code, _, err = run(capsys, "tabulate", "/no/such/file.blt")
     assert code == 2
     assert "error:" in err
+    # the error is raised by the read itself, which names the path once
+    assert err.count("/no/such/file.blt") == 1
 
 
 def test_tabulate_malformed_file(tmp_path, capsys):
@@ -700,9 +702,9 @@ def test_batch_record_that_cannot_be_rebuilt_fails_its_spot_check(tmp_path, caps
     assert summary.endswith("spot-checked 1, 1 failures")
 
 
-def test_batch_writes_utf8_whatever_the_locale(tmp_path):
-    # an ASCII locale without UTF-8 mode: errors.txt must still hold the
-    # non-ASCII name that a file's parse error quotes
+def ascii_locale_env():
+    """The environment of an ASCII locale without UTF-8 mode, for main in a
+    subprocess; skips the test where that locale still prefers UTF-8."""
     package_root = Path(cli.__file__).parents[1]
     env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C",
            "PYTHONPATH": os.pathsep.join(
@@ -714,6 +716,37 @@ def test_batch_writes_utf8_whatever_the_locale(tmp_path):
     ).stdout.strip()
     if codecs.lookup(preferred).name == "utf-8":
         pytest.skip("the C locale prefers UTF-8 on this host")
+    return env
+
+
+def run_main(env, *argv):
+    """main run in a subprocess with env; its exit code, stdout and stderr."""
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from blocaudit.cli import main; "
+         "sys.exit(main())", *argv],
+        env=env, capture_output=True, text=True,
+    )
+
+
+@pytest.mark.parametrize("command", ["tabulate", "psc"])
+def test_stdout_escapes_what_the_locale_cannot_encode(tmp_path, command):
+    # an ASCII locale without UTF-8 mode: a candidate's non-ASCII name is
+    # printed as a backslash escape rather than ending the run in a traceback
+    env = ascii_locale_env()
+    ward = tmp_path / "ward.blt"
+    ward.write_bytes(
+        '2 1\n3 1 2 0\n2 2 0\n0\n"Ren\u00e9"\n"Ross"\n"Accented ward"\n'.encode()
+    )
+    done = run_main(env, command, str(ward))
+    assert done.returncode == 0, done.stderr
+    assert "Ren\\xe9" in done.stdout
+    assert done.stderr == ""
+
+
+def test_batch_writes_utf8_whatever_the_locale(tmp_path):
+    # an ASCII locale without UTF-8 mode: errors.txt must still hold the
+    # non-ASCII name that a file's parse error quotes
+    env = ascii_locale_env()
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()
     shutil.copy(EAST_AYRSHIRE, corpus_dir / "ea.blt")
@@ -723,11 +756,8 @@ def test_batch_writes_utf8_whatever_the_locale(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("methods=scottish\n")
     out_dir = tmp_path / "out"
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys; from blocaudit.cli import main; "
-         "sys.exit(main())", "batch", str(corpus_dir), "--config", str(cfg),
-         "--out", str(out_dir)],
-        env=env, capture_output=True, text=True,
+    done = run_main(
+        env, "batch", str(corpus_dir), "--config", str(cfg), "--out", str(out_dir)
     )
     assert done.returncode == 0, done.stderr
     assert (out_dir / "errors.txt").read_bytes() == (

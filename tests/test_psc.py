@@ -87,9 +87,9 @@ def test_solid_coalitions_sorted_by_size_then_ids():
 
 def test_psc_constraints_droop_left():
     election = left_election()
-    cset = psc_constraints(election.profile, election.k, rational(334))
+    constraints = psc_constraints(election.profile, election.k, rational(334))
     entries = {
-        tuple(sorted(c.supported_set)): c.required for c in cset.constraints
+        tuple(sorted(c.supported_set)): c.required for c in constraints
     }
     assert entries == {(2, 3): 1}
 
@@ -100,9 +100,9 @@ def test_psc_constraints_after_removal_left():
     from blocaudit import Election, remove_ballots
 
     reduced = Election(remove_ballots(election.profile, selection), election.k)
-    cset = psc_constraints(reduced.profile, reduced.k, rational(333))
+    constraints = psc_constraints(reduced.profile, reduced.k, rational(333))
     entries = {
-        tuple(sorted(c.supported_set)): c.required for c in cset.constraints
+        tuple(sorted(c.supported_set)): c.required for c in constraints
     }
     assert entries == {(0,): 1, (2,): 1, (2, 3): 1}
 
@@ -112,9 +112,9 @@ def test_psc_constraints_required_capped_by_seats():
     election = make_election(
         ["a", "b", "c", "d"], [((0, 1, 2), 90), ((3,), 10)], 2
     )
-    cset = psc_constraints(election.profile, election.k, rational(10))
+    constraints = psc_constraints(election.profile, election.k, rational(10))
     by_set = {
-        tuple(sorted(c.supported_set)): c.required for c in cset.constraints
+        tuple(sorted(c.supported_set)): c.required for c in constraints
     }
     assert by_set[(0, 1, 2)] == 2  # floor(90/10) = 9, capped at k
 
@@ -127,10 +127,10 @@ def test_psc_constraints_require_positive_quota():
 
 def test_is_psc_committee():
     election = left_election()
-    cset = psc_constraints(election.profile, election.k, rational(334))
-    assert is_psc_committee((2, 3), cset)
-    assert is_psc_committee((0, 2), cset)
-    assert not is_psc_committee((0, 1), cset)
+    constraints = psc_constraints(election.profile, election.k, rational(334))
+    assert is_psc_committee((2, 3), constraints)
+    assert is_psc_committee((0, 2), constraints)
+    assert not is_psc_committee((0, 1), constraints)
 
 
 # -------------------------------------------------------------- enumeration
@@ -144,11 +144,11 @@ def test_enumerate_left_and_right():
 def test_enumerate_matches_bruteforce():
     election = left_election()
     q = rational(334)
-    cset = psc_constraints(election.profile, election.k, q)
+    constraints = psc_constraints(election.profile, election.k, q)
     expected = [
         committee
         for committee in itertools.combinations(range(election.profile.m), 2)
-        if is_psc_committee(committee, cset)
+        if is_psc_committee(committee, constraints)
     ]
     assert enumerate_psc_committees(election, q) == expected
 
@@ -285,6 +285,6 @@ def test_hare_audit_flags_starved_bloc():
 
 def test_constraint_to_json():
     election = left_election()
-    cset = psc_constraints(election.profile, election.k, rational(334))
-    doc = constraint_to_json(cset.constraints[0])
+    constraints = psc_constraints(election.profile, election.k, rational(334))
+    doc = constraint_to_json(constraints[0])
     assert doc == {"S": [2, 3], "size": 665, "required": 1}
