@@ -25,20 +25,29 @@ ProbeSession, so each removal is scored once; audit and batch do. The
 session scores every audit rule's removals from its own arrays and builds
 no reduced profile: Scottish, Meek and EAR by running the rule's count
 (methods.COUNTS) over the source multiplicities less the removal, without
-a round log, and Chamberlin-Courant by difference (methods.CCScores). Only
-the session's base count and the checks tabulate. A rule whose base count
-is tie-flagged is not searched, nor are the pairs of criterion and rule
-that PROVEN_IMMUNE proves clean. Every reported record is the one a fresh
-call to the public check_* returns, never built from the session; a search
-sets only its party_swap flag. oracle_ilvb applies check_ilvb to every
-loser-only removal of a small instance and is the ground truth the
-heuristics are tested against.
+a round log, and Chamberlin-Courant by difference (methods.CCScores). The
+removal pools, their graded fractions, the ranked unions and the transfer
+orders are memoised on the profile, so the sessions of every rule over one
+election build each once. A rule whose base count is tie-flagged is not
+searched, nor are the pairs of criterion and rule that PROVEN_IMMUNE proves
+clean.
+
+Every reported record is the one a fresh call to the public check_*
+returns, never built from the probes; a search sets only its party_swap
+flag. _verified runs the check's own computation (_check), whose two fresh
+tabulations come from the session's verification memo: one logged
+tabulate of the election per session, made the first time a record needs
+it, and one of the election less each distinct removal found
+(remove_ballots). Outside that memo only the session's base count
+tabulates. oracle_ilvb applies check_ilvb to every loser-only removal of a
+small instance and is the ground truth the heuristics are tested against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable, NamedTuple, Union
 
@@ -137,24 +146,43 @@ def _without(election: Election, selection: BallotSelection) -> Election:
     )
 
 
+def _tabulated_winners(
+    election: Election, method: MethodLike, selection: BallotSelection | None
+) -> WinnerSet:
+    """The winners of a fresh tabulation: of the election when selection is
+    None, else of the election less the selection."""
+    if selection is not None:
+        election = _without(election, selection)
+    return _run(method, election).winners
+
+
 class ProbeSession:
     """The base outcome of one (election, rule) and memos of what its searches build.
 
     The main memo maps each removed BallotSelection to the winner set that is
     left, so every search sharing the session scores a removal once, however
-    many criteria and pools probe it. Smaller memos keep the graded
-    fractions of each removal pool (by allowed candidate set and sigma), the
-    ranked union of each probed removal and the transfer orders (by target
-    pair), which the searches of one rule rebuild otherwise. The searches
-    read nothing else; the public checks never read the session.
+    many criteria and pools probe it. The graded fractions of each removal
+    pool (by allowed candidate set and sigma), the ranked union of each
+    probed removal and the transfer orders (by winners and target pair) are
+    memoised on the profile (removal_pools, removal_fractions, ranked_unions,
+    transfer_orders), so the sessions of every rule over one election build
+    each of them once. The searches read nothing else.
 
-    No audit rule tabulates a reduced election. For "scottish", "meek" and
-    "ear" the session keeps the source profile's multiplicities and scores a
-    removal by running the rule's count (methods.COUNTS) over a copy of them
-    less the removal, without its round log; the Chamberlin-Courant tags
-    ("cc-om", "cc-pm") score it by difference (methods.CCScores). Only the
-    base count of those three rules goes through tabulate. A callable rule
-    is run on the reduced election (remove_ballots).
+    No audit rule tabulates a reduced election to probe it. For "scottish",
+    "meek" and "ear" the session keeps the source profile's multiplicities
+    and scores a removal by running the rule's count (methods.COUNTS) over a
+    copy of them less the removal, without its round log; the
+    Chamberlin-Courant tags ("cc-om", "cc-pm") score it by difference
+    (methods.CCScores). Only the base count of those three rules goes
+    through tabulate. A callable rule is run on the reduced election
+    (remove_ballots).
+
+    A second memo, the verification memo, holds what the public checks
+    compute when they re-verify the searches' records (see _verified): the
+    winners of one fresh tabulation of the election, made the first time a
+    record needs it, and those of one fresh tabulation of the election less
+    each distinct removal found (remove_ballots). It is filled only through
+    the checks' own calls and never reads the probe memo or the base count.
     """
 
     def __init__(self, election: Election, method: MethodLike):
@@ -167,11 +195,7 @@ class ProbeSession:
         self.winners = self.before.members
         self.losers = frozenset(range(election.profile.m)) - self.winners
         self._memo: dict[BallotSelection, WinnerSet] = {}
-        self._fractions: dict[
-            tuple[frozenset[int], int], tuple[BallotSelection, ...]
-        ] = {}
-        self._unions: dict[BallotSelection, frozenset[int]] = {}
-        self._orders: dict[tuple[int, int], list[int]] = {}
+        self._checked: dict[BallotSelection | None, WinnerSet] = {}
 
     def winners_after(self, selection: BallotSelection) -> WinnerSet:
         winners = self._memo.get(selection)
@@ -190,6 +214,14 @@ class ProbeSession:
             self._memo[selection] = winners
         return winners
 
+    def checked_winners(self, selection: BallotSelection | None) -> WinnerSet:
+        """_tabulated_winners(election, method, selection), run once per session."""
+        winners = self._checked.get(selection)
+        if winners is None:
+            winners = _tabulated_winners(self.election, self.method, selection)
+            self._checked[selection] = winners
+        return winners
+
     def fractions(
         self, allowed: frozenset[int], sigma: int
     ) -> tuple[BallotSelection, ...]:
@@ -198,31 +230,36 @@ class ProbeSession:
         Empty and repeated parts are dropped, and so is a part holding every
         ballot; the rest keep the order of i.
         """
-        parts = self._fractions.get((allowed, sigma))
+        profile = self.election.profile
+        parts = profile.removal_fractions.get((allowed, sigma))
         if parts is None:
-            total = self.election.profile.total_ballots
-            pool = ballots_ranking_only(self.election.profile, allowed)
+            total = profile.total_ballots
+            pool = profile.removal_pools.get(allowed)
+            if pool is None:
+                pool = ballots_ranking_only(profile, allowed)
+                profile.removal_pools[allowed] = pool
             graded = (fraction_of(pool, i, sigma) for i in range(1, sigma + 1))
             parts = tuple(dict.fromkeys(p for p in graded if p and p.total < total))
-            self._fractions[(allowed, sigma)] = parts
+            profile.removal_fractions[(allowed, sigma)] = parts
         return parts
 
     def ranked_union(self, selection: BallotSelection) -> frozenset[int]:
         """Every candidate ranked by at least one ballot of the selection."""
-        ranked = self._unions.get(selection)
+        profile = self.election.profile
+        ranked = profile.ranked_unions.get(selection)
         if ranked is None:
-            ranked = selection_ranked_union(self.election.profile, selection)
-            self._unions[selection] = ranked
+            ranked = selection_ranked_union(profile, selection)
+            profile.ranked_unions[selection] = ranked
         return ranked
 
     def transfer_order(self, a: int, b: int) -> list[int]:
         """_transfer_order(A, B) over the winners other than A."""
-        order = self._orders.get((a, b))
+        profile = self.election.profile
+        key = (self.winners, a, b)
+        order = profile.transfer_orders.get(key)
         if order is None:
-            order = _transfer_order(
-                self.election.profile, sorted(self.winners - {a}), a, b
-            )
-            self._orders[(a, b)] = order
+            order = _transfer_order(profile, sorted(self.winners - {a}), a, b)
+            profile.transfer_orders[key] = order
         return order
 
 
@@ -320,16 +357,25 @@ PROVEN_IMMUNE = frozenset(
 
 
 def _check(
-    criterion: str, election: Election, method: MethodLike, selection: BallotSelection
+    criterion: str,
+    election: Election,
+    method: MethodLike,
+    selection: BallotSelection,
+    winners: Callable[[BallotSelection | None], WinnerSet],
 ) -> ViolationRecord | None:
+    """Apply the criterion's row to one removal.
+
+    winners(None) is the base winner set and winners(selection) the set the
+    removal leaves; each is asked for only once the check needs it.
+    """
     tag = _method_tag(method)
     if not selection:
         return None
     spec = CRITERION_TABLE[criterion]
-    before = _run(method, election).winners
+    before = winners(None)
     ranked = selection_ranked_union(election.profile, selection)
     spec.require(ranked, before.members)
-    after = _run(method, _without(election, selection)).winners
+    after = winners(selection)
     if not spec.hit(before.members, ranked, after.members):
         return None
     return ViolationRecord(criterion, tag, selection, before, after)
@@ -344,7 +390,10 @@ def check_ilvb(
     anything else is a precondition error, not a non-violation. Removing
     every ballot in the profile is rejected by the removal itself.
     """
-    return _check("ILVB", election, method, selection)
+    return _check(
+        "ILVB", election, method, selection,
+        partial(_tabulated_winners, election, method),
+    )
 
 
 def check_iwvb(
@@ -355,7 +404,10 @@ def check_iwvb(
     The selection's ranked union must be a proper subset of the original
     winners. A violation is any winner outside that union losing their seat.
     """
-    return _check("IWVB", election, method, selection)
+    return _check(
+        "IWVB", election, method, selection,
+        partial(_tabulated_winners, election, method),
+    )
 
 
 def check_iwvb_star(
@@ -367,7 +419,10 @@ def check_iwvb_star(
     candidate the removed ballots ranked keeps a seat, yet the committee
     still changed.
     """
-    return _check("IWVB_STAR", election, method, selection)
+    return _check(
+        "IWVB_STAR", election, method, selection,
+        partial(_tabulated_winners, election, method),
+    )
 
 
 CHECKS = {"ILVB": check_ilvb, "IWVB": check_iwvb, "IWVB_STAR": check_iwvb_star}
@@ -384,12 +439,18 @@ def _verified(
 ) -> list[ViolationRecord]:
     """The public check's record of every found removal, in the order given.
 
-    A search adds nothing to the check's record but the party_swap flag.
+    This is check_*'s own computation, with its two fresh tabulations taken
+    from the session's verification memo (ProbeSession.checked_winners), so
+    each is run once per session however many criteria and searches report
+    the removal. A search adds nothing to the check's record but the
+    party_swap flag.
     """
-    check = CHECKS[criterion]
     out = []
     for selection in found:
-        fresh = check(session.election, session.method, selection)
+        fresh = _check(
+            criterion, session.election, session.method, selection,
+            session.checked_winners,
+        )
         if fresh is not None:
             out.append(replace(fresh, party_swap=party_swap))
     return out

@@ -425,8 +425,14 @@ def _meek_count(
     hopefuls = set(range(m))
     keep = [D] * m
 
-    def group() -> list[tuple[tuple[int, ...], int]]:
-        """Each effective path under the current keep factors, with its weight."""
+    def group() -> tuple[list[int], int, list[tuple[tuple[int, ...], int]]]:
+        """The weight of each effective path under the current keep factors.
+
+        A fixed path's weight lands in the same place at every iteration
+        until the next regroup, so it is summed once, into start totals (a
+        path of one candidate with K = D) or a start exhausted weight (an
+        empty path). The flowing paths come last, each with its weight.
+        """
         counts: dict[tuple[int, ...], int] = {}
         for ranking, n in live:
             path = []
@@ -438,14 +444,26 @@ def _meek_count(
                         break
             path = tuple(path)
             counts[path] = counts.get(path, 0) + n
-        return [(path, n * scale) for path, n in counts.items()]
+        start = [0] * m
+        start_exhausted = 0
+        flowing = []
+        for path, n in counts.items():
+            if not path:
+                start_exhausted += n * scale
+            elif len(path) == 1 and keep[path[0]] == D:
+                start[path[0]] += n * scale
+            else:
+                flowing.append((path, n * scale))
+        return start, start_exhausted, flowing
 
     def distribute(
-        groups: list[tuple[tuple[int, ...], int]],
+        start: list[int],
+        start_exhausted: int,
+        flowing: list[tuple[tuple[int, ...], int]],
     ) -> tuple[list[int], int]:
-        totals = [0] * m
-        exhausted = 0
-        for path, w in groups:
+        totals = start.copy()
+        exhausted = start_exhausted
+        for path, w in flowing:
             for cid in path:
                 kf = keep[cid]
                 if kf == D:
@@ -466,7 +484,7 @@ def _meek_count(
 
     number = 0
     while len(elected) < k:
-        totals, exhausted = distribute(groups)
+        totals, exhausted = distribute(*groups)
         quota_num = full - exhausted
         number += 1
         if log:
@@ -556,6 +574,14 @@ def meek_stv(
     exhausted weight are the same integers as type by type. The groups are
     rebuilt only when a keep factor changes class (0, partial or D), that
     is on an elimination or an update that moves K to or from D or to 0.
+    Between two regroups a fixed path sends its weight to the same place
+    every iteration: a path of one candidate with K = D gives it all to
+    that candidate, and an empty path (every candidate ranked has K = 0)
+    exhausts it all. Their weights are summed once per regroup into start
+    totals and a start exhausted weight, and each iteration copies those
+    and distributes only the flowing paths, the ones through a candidate
+    with 0 < K < D. Integer addition in another order gives the same
+    integers.
     """
     profile = election.profile
     return _meek_count(

@@ -91,8 +91,8 @@ class PreferenceProfile:
     def m(self) -> int:
         return len(self.candidates)
 
-    # The cached views below live in the instance's __dict__, outside the
-    # dataclass fields, so they take no part in ==, hash or repr.
+    # The cached views and memos below live in the instance's __dict__,
+    # outside the dataclass fields, so they take no part in ==, hash or repr.
 
     @cached_property
     def total_ballots(self) -> int:
@@ -131,6 +131,29 @@ class PreferenceProfile:
             for pos, cid in enumerate(bt.ranking):
                 pairs[cid].append((t, pos))
         return tuple(map(tuple, pairs))
+
+    # Memos of the removal searches (criteria.ProbeSession fills them), kept
+    # here so that the searches of every rule over this profile share them.
+
+    @cached_property
+    def removal_pools(self) -> dict:
+        """Allowed candidate set -> every ballot ranking only those candidates."""
+        return {}
+
+    @cached_property
+    def removal_fractions(self) -> dict:
+        """(allowed candidate set, sigma) -> the graded parts of its pool probed."""
+        return {}
+
+    @cached_property
+    def ranked_unions(self) -> dict:
+        """BallotSelection -> every candidate its ballots rank."""
+        return {}
+
+    @cached_property
+    def transfer_orders(self) -> dict:
+        """(winners, A, B) -> the transfer order of the winners other than A."""
+        return {}
 
     @classmethod
     def from_ballots(

@@ -240,17 +240,18 @@ def test_audit_one_equals_searches_run_alone(east_ayrshire, north_ayrshire):
 
 
 def test_audit_one_tabulates_each_removal_once(east_ayrshire, monkeypatch):
-    # Outside the re-verifying public checks nothing tabulates or removes
-    # ballots but each session's base count; every probe of the three
+    # Outside re-verification (criteria._verified, the public checks' own
+    # computation) nothing tabulates or removes ballots but each session's
+    # base count; every probe of the three
     # integer-counting rules runs the rule's count from methods.COUNTS,
     # once per distinct removal, and the coverage rules score by difference.
     outside_checks = Counter()
     probes = Counter()  # (rule, multiplicities) a count scored without its log
-    in_check = []
+    verifying = []
 
     def counting(name, real):
         def run(*args, **kwargs):
-            if not in_check:
+            if not verifying:
                 key = args[1] if name == "tabulate" else None
                 outside_checks[(name, key)] += 1
             return real(*args, **kwargs)
@@ -263,21 +264,20 @@ def test_audit_one_tabulates_each_removal_once(east_ayrshire, monkeypatch):
             return count(profile, mults, k, log, **settings)
         return run
 
-    def flagged(check):
-        def run(*args):
-            in_check.append(True)
+    def flagged(verified):
+        def run(*args, **kwargs):
+            verifying.append(True)
             try:
-                return check(*args)
+                return verified(*args, **kwargs)
             finally:
-                in_check.pop()
+                verifying.pop()
         return run
 
     for name in ("tabulate", "remove_ballots"):
         monkeypatch.setattr(criteria, name, counting(name, getattr(criteria, name)))
     for tag, count in list(methods.COUNTS.items()):
         monkeypatch.setitem(methods.COUNTS, tag, counting_count(tag, count))
-    for name, check in list(criteria.CHECKS.items()):
-        monkeypatch.setitem(criteria.CHECKS, name, flagged(check))
+    monkeypatch.setattr(criteria, "_verified", flagged(criteria._verified))
     records = []
     for method in AUDIT_METHODS:
         records += _audit_one(east_ayrshire, method, CRITERIA, SearchParams(), True)[0]
@@ -287,6 +287,49 @@ def test_audit_one_tabulates_each_removal_once(east_ayrshire, monkeypatch):
     assert {tag for tag, _ in probes} == set(methods.COUNTS)
     assert len(probes) > len(AUDIT_METHODS)
     assert max(probes.values()) == 1
+
+
+def test_audit_verifies_each_removal_once_per_rule(
+    east_ayrshire, north_ayrshire, monkeypatch
+):
+    # Re-verification is the public checks' computation over one session's
+    # verification memo: one fresh base count per rule that has records, and
+    # one fresh reduced count (and removal) per distinct removal of that
+    # rule, however many criteria and party-swap searches report it. On the
+    # two wards that is 17 tabulations and 13 removals for 28 records.
+    verifying = []
+    calls = Counter()
+
+    def counting(name, real):
+        def run(*args, **kwargs):
+            if verifying:
+                calls[name] += 1
+            return real(*args, **kwargs)
+        return run
+
+    def flagged(verified):
+        def run(*args, **kwargs):
+            verifying.append(True)
+            try:
+                return verified(*args, **kwargs)
+            finally:
+                verifying.pop()
+        return run
+
+    for name in ("tabulate", "remove_ballots"):
+        monkeypatch.setattr(criteria, name, counting(name, getattr(criteria, name)))
+    monkeypatch.setattr(criteria, "_verified", flagged(criteria._verified))
+    records = []  # (ward, rule, removal) of each record
+    for ward, election in enumerate((east_ayrshire, north_ayrshire)):
+        for method in AUDIT_METHODS:
+            found, _ = _audit_one(election, method, CRITERIA, SearchParams(), True)
+            records += [(ward, method, record.removed) for record in found]
+    bases = {(ward, method) for ward, method, _ in records}
+    removals = set(records)
+    assert len(records) > len(removals) > len(bases)
+    assert calls == Counter(
+        tabulate=len(bases) + len(removals), remove_ballots=len(removals)
+    )
 
 
 # --------------------------------------------------------------------- gen

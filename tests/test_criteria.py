@@ -21,6 +21,7 @@ from blocaudit import (
     check_iwvb,
     check_iwvb_star,
     generate,
+    load_election,
     make_election,
     oracle_ilvb,
     record_to_json,
@@ -35,7 +36,7 @@ from blocaudit.criteria import ProbeSession
 from blocaudit.methods import AUDIT_METHODS, CCScores
 from blocaudit.profiles import BallotSelection, selection_ranked_union
 from cc_reference import reference_cc
-from conftest import random_profile, seeded_ward
+from conftest import EAST_AYRSHIRE, random_profile, seeded_ward
 
 # ----------------------------------------------------------------- checks
 
@@ -343,7 +344,11 @@ def test_search_rejects_session_of_another_election_or_rule(
         search_iwvb(east_ayrshire, "ear", session=session)
 
 
-def test_session_builds_each_pool_and_order_once(east_ayrshire, monkeypatch):
+def test_session_builds_each_pool_and_order_once(monkeypatch):
+    # The pools live on the profile, so the sessions of all five rules over
+    # one election share them. A fresh load keeps pools built by other tests
+    # out of the counts.
+    election = load_election(EAST_AYRSHIRE)
     pools, orders = Counter(), Counter()
     fractions, unions = Counter(), Counter()
     real_pool, real_order = criteria.ballots_ranking_only, criteria._transfer_order
@@ -370,18 +375,27 @@ def test_session_builds_each_pool_and_order_once(east_ayrshire, monkeypatch):
     monkeypatch.setattr(criteria, "fraction_of", counting_fraction)
     monkeypatch.setattr(criteria, "selection_ranked_union", counting_union)
     # the public checks re-verifying each record compute their own unions
-    for name in criteria.CHECKS:
-        monkeypatch.setitem(criteria.CHECKS, name, lambda *args: None)
-    session = ProbeSession(east_ayrshire, "scottish")
-    search_ilvb(east_ayrshire, "scottish", session=session)
-    for star in (False, True):
-        search_iwvb(east_ayrshire, "scottish", star_mode=star, session=session)
-    for criterion in ("ILVB", "IWVB", "IWVB_STAR"):
-        search_party_swaps(east_ayrshire, "scottish", criterion=criterion,
-                           session=session)
+    monkeypatch.setattr(criteria, "_verified", lambda *args: [])
+    # no pair is skipped, so every rule builds its pools and orders
+    monkeypatch.setattr(criteria, "PROVEN_IMMUNE", frozenset())
+    winner_sets = set()
+    for method in AUDIT_METHODS:
+        session = ProbeSession(election, method)
+        winner_sets.add(session.winners)
+        search_ilvb(election, method, session=session)
+        for star in (False, True):
+            search_iwvb(election, method, star_mode=star, session=session)
+        for criterion in ("ILVB", "IWVB", "IWVB_STAR"):
+            search_party_swaps(election, method, criterion=criterion,
+                               session=session)
     assert pools and orders and fractions and unions
     assert max(pools.values()) == max(orders.values()) == 1
     assert max(fractions.values()) == max(unions.values()) == 1
+    # the rules' winners differ, and each winner set has its own orders
+    assert len(winner_sets) > 1
+    assert {
+        frozenset(committee) | {a} for committee, a, _ in orders
+    } == winner_sets
 
 
 def cc_probed_session(election, tag):
@@ -546,33 +560,32 @@ def test_session_winners_after_rejects_bad_removals(east_ayrshire, method):
 def test_session_scores_cc_probes_without_tabulating(
     east_ayrshire, monkeypatch, tag
 ):
-    # only the public checks that re-verify each record may tabulate or
-    # remove ballots; the session scores every probe from its own rows,
+    # only re-verification (criteria._verified, the public checks' own
+    # computation) may tabulate or remove ballots; the session scores every probe from its own rows,
     # those of the pools PROVEN_IMMUNE lets the searches skip included
     monkeypatch.setattr(criteria, "PROVEN_IMMUNE", frozenset())
     outside_checks = Counter()
-    in_check = []
+    verifying = []
 
     def counting(name, real):
         def run(*args, **kwargs):
-            if not in_check:
+            if not verifying:
                 outside_checks[name] += 1
             return real(*args, **kwargs)
         return run
 
-    def flagged(check):
-        def run(*args):
-            in_check.append(True)
+    def flagged(verified):
+        def run(*args, **kwargs):
+            verifying.append(True)
             try:
-                return check(*args)
+                return verified(*args, **kwargs)
             finally:
-                in_check.pop()
+                verifying.pop()
         return run
 
     for name in ("tabulate", "remove_ballots"):
         monkeypatch.setattr(criteria, name, counting(name, getattr(criteria, name)))
-    for name, check in list(criteria.CHECKS.items()):
-        monkeypatch.setitem(criteria.CHECKS, name, flagged(check))
+    monkeypatch.setattr(criteria, "_verified", flagged(criteria._verified))
     session = cc_probed_session(east_ayrshire, tag)
     assert len(session._memo) > 20
     assert not outside_checks

@@ -406,6 +406,43 @@ def test_meek_round_logs_match_rational_reference_on_long_counts():
         assert len(eliminated) >= 3
 
 
+def test_meek_fixed_and_flowing_paths_match_rational_reference():
+    # Between two regroups the count sums each fixed path's weight once: an
+    # empty path (every candidate it ranks eliminated) exhausts all of it,
+    # and a path of one candidate with keep factor 1 gives them all of it.
+    # The other paths flow every iteration, among them a path ending at an
+    # elected candidate whose keep factor is below 1, the rest exhausting.
+    empty = make_election(
+        list("abcde"),
+        [((0,), 10), ((1,), 8), ((2, 1), 7), ((3,), 3), ((4, 3), 2), ((4,), 2)],
+        2,
+    )
+    got = meek_stv(empty)
+    eliminated = {
+        ev.candidate
+        for rnd in got.log.rounds for ev in rnd.events if ev.kind == "eliminated"
+    }
+    assert any(set(bt.ranking) <= eliminated for bt in empty.profile.ballots)
+    assert_same_count(got, reference_meek_stv(empty))
+
+    ends_elected = make_election(
+        list("abcd"),
+        [((0,), 30), ((0, 2), 5), ((1, 0), 6), ((1, 2), 4), ((2,), 9), ((3,), 8)],
+        2,
+    )
+    got = meek_stv(ends_elected)
+    final = got.log.rounds[-1]
+    partial = {c for c in got.winners.members if final.keep_factors[c] < ONE}
+    assert any(bt.ranking in {(c,) for c in partial}
+               for bt in ends_elected.profile.ballots)
+    assert_same_count(got, reference_meek_stv(ends_elected))
+
+    for seed in (3, 41, 977):
+        for k in (2, 3):
+            election = seeded_ward(seed, m=7, k=k, voters=150, stop=0.5)
+            assert_same_count(meek_stv(election), reference_meek_stv(election))
+
+
 # North Ayrshire's Meek count runs 42 keep-factor iterations in all
 NA_MEEK_ITERATIONS = 42
 
