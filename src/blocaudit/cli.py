@@ -36,7 +36,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -387,6 +386,9 @@ def cmd_batch(args) -> int:
         err_f.writelines(line + "\n" for line in dup_errors)
         run = map
         if workers > 1 and len(tasks) > 1:
+            # imported here, so no other command loads the process machinery
+            from concurrent.futures import ProcessPoolExecutor
+
             run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         for eid, (records, tied, errors) in zip(pending, run(_batch_worker, tasks)):
             # only an election that ran without error is marked done

@@ -20,11 +20,11 @@ stays visible in the log. Positional flags a tie at the seat boundary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from array import array
 from dataclasses import dataclass, field
-from operator import mul, sub
+from operator import add, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -418,73 +418,62 @@ def _meek_count(
     # quota = (full - exhausted) / quota_den = quota_num / quota_den, so a
     # total T reaches it when T*(k+1) >= quota_num; the tolerance is scaled
     # to the same unit 1/quota_den, and floored, since it bounds an integer.
-    quota_den = (k + 1) * scale
+    k1 = k + 1
+    quota_den = k1 * scale
     tolerance_scaled = floor_rational(tolerance * quota_den)
 
     m = profile.m
     hopefuls = set(range(m))
     keep = [D] * m
 
-    def group() -> tuple[list[int], int, list[tuple[tuple[int, ...], int]]]:
+    def group() -> tuple[list[int], list[tuple[tuple[int, ...], int, int]]]:
         """The weight of each effective path under the current keep factors.
 
-        A fixed path's weight lands in the same place at every iteration
-        until the next regroup, so it is summed once, into start totals (a
-        path of one candidate with K = D) or a start exhausted weight (an
-        empty path). The flowing paths come last, each with its weight.
+        A path is (partials, end): the candidates with 0 < K < D in ranking
+        order, then the first with K = D, or m when the rest exhausts. start
+        has a slot per candidate and slot m for the exhausted weight, and
+        holds the weight of every path without partials, which lands in the
+        same slot at every iteration until the next regroup. The flowing
+        paths follow as (partials, end, weight).
         """
-        counts: dict[tuple[int, ...], int] = {}
+        counts: dict[tuple[tuple[int, ...], int], int] = {}
         for ranking, n in live:
-            path = []
+            partials = []
+            end = m
             for cid in ranking:
                 kf = keep[cid]
-                if kf:
-                    path.append(cid)
-                    if kf == D:
-                        break
-            path = tuple(path)
-            counts[path] = counts.get(path, 0) + n
-        start = [0] * m
-        start_exhausted = 0
-        flowing = []
-        for path, n in counts.items():
-            if not path:
-                start_exhausted += n * scale
-            elif len(path) == 1 and keep[path[0]] == D:
-                start[path[0]] += n * scale
-            else:
-                flowing.append((path, n * scale))
-        return start, start_exhausted, flowing
-
-    def distribute(
-        start: list[int],
-        start_exhausted: int,
-        flowing: list[tuple[tuple[int, ...], int]],
-    ) -> tuple[list[int], int]:
-        totals = start.copy()
-        exhausted = start_exhausted
-        for path, w in flowing:
-            for cid in path:
-                kf = keep[cid]
                 if kf == D:
-                    totals[cid] += w
-                    w = 0
+                    end = cid
                     break
-                take = w * kf // D
-                totals[cid] += take
-                w -= take
-            exhausted += w
-        return totals, exhausted
+                if kf:
+                    partials.append(cid)
+            path = (tuple(partials), end)
+            counts[path] = counts.get(path, 0) + n
+        start = [0] * (m + 1)
+        flowing = []
+        for (partials, end), n in counts.items():
+            if partials:
+                flowing.append((partials, end, n * scale))
+            else:
+                start[end] += n * scale
+        return start, flowing
 
     elected: list[int] = []
     rounds: list[Round] | None = [] if log else None
     tie_events: list[TieEvent] = []
     events = None
-    groups = group()
+    start, flowing = group()
 
     number = 0
     while len(elected) < k:
-        totals, exhausted = distribute(*groups)
+        totals = start.copy()
+        for partials, end, w in flowing:
+            for cid in partials:
+                take = w * keep[cid] // D
+                totals[cid] += take
+                w -= take
+            totals[end] += w
+        exhausted = totals.pop()
         quota_num = full - exhausted
         number += 1
         if log:
@@ -497,39 +486,51 @@ def _meek_count(
             )
             rounds.append(rnd)
             events = rnd.events
-        if _elect_remaining(hopefuls, elected, k, events):
+        if len(hopefuls) == k - len(elected):
+            _elect_remaining(hopefuls, elected, k, events)
             break
 
         # only a round that fills the seats outright is not an iteration
         if number > max_iterations:
             raise MeekNonConvergenceError(max_iterations)
         # T*(k+1) >= quota_num exactly when T >= ceil(quota_num / (k+1))
-        crossers = _elect_crossers(
-            totals, -(-quota_num // (k + 1)), hopefuls, elected, k, number,
-            events, tie_events,
-        )
-        if len(elected) == k:
-            break
+        bar = -(-quota_num // k1)
+        crossed = False
+        for c in hopefuls:
+            if totals[c] >= bar:
+                crossed = True
+                break
+        if crossed:
+            _elect_crossers(
+                totals, bar, hopefuls, elected, k, number, events, tie_events
+            )
+            if len(elected) == k:
+                break
 
-        converged = not crossers and all(
-            abs(totals[c] * (k + 1) - quota_num) <= tolerance_scaled
-            for c in elected
-        )
+        converged = not crossed
+        if converged:
+            for c in elected:
+                gap = totals[c] * k1 - quota_num
+                if gap > tolerance_scaled or gap < -tolerance_scaled:
+                    converged = False
+                    break
         if converged:
             out = _eliminate_lowest(totals, hopefuls, number, events, tie_events)
             keep[out] = 0
-            groups = group()
+            start, flowing = group()
             continue
 
         regroup = False
         for c in elected:
             if totals[c] > 0:
                 # floor(D * keep*quota/votes), capped at 1
-                kf = min(keep[c] * quota_num // ((k + 1) * totals[c]), D)
+                kf = keep[c] * quota_num // (k1 * totals[c])
+                if kf > D:
+                    kf = D
                 regroup |= kf == 0 or (kf == D) != (keep[c] == D)
                 keep[c] = kf
         if regroup:
-            groups = group()
+            start, flowing = group()
 
     initial_quota = exact_droop_quota(total, k) if log else None
     return _result("meek", initial_quota, elected, rounds, tie_events)
@@ -567,21 +568,21 @@ def meek_stv(
     K = D takes all of w.
 
     Where a type's weight goes depends only on its effective path: the
-    candidates with 0 < K < D in ranking order, then the first with K = D
-    (those with K = 0 are skipped). Types that share a path are summed into
-    one weight. A sum of multiples of D**(L-j) is still one, so the takes
-    stay exact and floor(sum(w)*K/D) = sum(floor(w*K/D)): the totals and the
+    partials, the candidates with 0 < K < D in ranking order, and its end,
+    the first candidate with K = D, or exhaustion when it ranks none (those
+    with K = 0 are skipped). Types that share a path are summed into one
+    weight. A sum of multiples of D**(L-j) is still one, so the takes stay
+    exact and floor(sum(w)*K/D) = sum(floor(w*K/D)): the totals and the
     exhausted weight are the same integers as type by type. The groups are
     rebuilt only when a keep factor changes class (0, partial or D), that
     is on an elimination or an update that moves K to or from D or to 0.
-    Between two regroups a fixed path sends its weight to the same place
-    every iteration: a path of one candidate with K = D gives it all to
-    that candidate, and an empty path (every candidate ranked has K = 0)
-    exhausts it all. Their weights are summed once per regroup into start
-    totals and a start exhausted weight, and each iteration copies those
-    and distributes only the flowing paths, the ones through a candidate
-    with 0 < K < D. Integer addition in another order gives the same
-    integers.
+    Between two regroups a path without partials sends all its weight to
+    its end every iteration, so those weights are summed once per regroup
+    into start totals, with one more slot for the exhausted weight. Each
+    iteration copies them and walks only the flowing paths (partials, end,
+    weight): each partial takes w*K // D of what is left, and the remainder
+    goes to the end's slot. Integer addition in another order gives the
+    same integers.
     """
     profile = election.profile
     return _meek_count(
@@ -756,35 +757,48 @@ def committees(m: int, k: int) -> Iterable[tuple[int, ...]]:
     return itertools.combinations(range(m), k)
 
 
+@functools.lru_cache(maxsize=8)
+def _members_index(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """For each candidate, the indexes of the size-k committees that hold them.
+
+    Indexes count committees in itertools.combinations order. Built through
+    committees(), so it refuses m above MAX_ENUM_CANDIDATES.
+    """
+    index: list[list[int]] = [[] for _ in range(m)]
+    for i, committee in enumerate(committees(m, k)):
+        for c in committee:
+            index[c].append(i)
+    return tuple(map(tuple, index))
+
+
 def _cc_scores(
     ballots: Sequence[BallotType], m: int, k: int, model: str
 ) -> list[int]:
     """cc_score of every size-k committee, in itertools.combinations order.
 
-    Scores are exact integers. cols[c][t] holds what ballot type t gives a
-    committee whose best-ranked member on it is c: multiplicity * (m - 1 -
-    position) when t ranks c, and otherwise the unranked score (multiplicity
-    * (m - len - 1) under "om", 0 under "pm"), which is never above a
-    ranked one. A committee's cc_score is then sum(map(max, *its columns)).
-    Refuses m above MAX_ENUM_CANDIDATES.
+    Scores are exact integers, the sum of one row per ballot type. A type of
+    multiplicity n gives a committee n * (m - 1 - position) of its
+    best-ranked member, or the unranked value (n * (m - len - 1) under "om",
+    0 under "pm") when it ranks no member; that value is never above a
+    ranked one. The row starts at the unranked value, and the ranking is
+    walked from its last candidate to its first, writing each candidate's
+    value at every committee that holds them (_members_index), so each
+    committee ends with the value of its best-ranked member. Refuses m above
+    MAX_ENUM_CANDIDATES.
     """
     if model not in ("om", "pm"):
         raise ValueError(f"model must be 'om' or 'pm', got {model!r}")
-    enumeration = committees(m, k)
-    unranked = [
-        bt.multiplicity * (m - len(bt.ranking) - 1) if model == "om" else 0
-        for bt in ballots
-    ]
-    cols = [list(unranked) for _ in range(m)]
-    for t, bt in enumerate(ballots):
-        for pos, cid in enumerate(bt.ranking):
-            cols[cid][t] = bt.multiplicity * (m - 1 - pos)
-    if k == 1:
-        return [sum(col) for col in cols]  # max() of a single int raises
-    return [
-        sum(map(max, *(cols[c] for c in committee)))
-        for committee in enumeration
-    ]
+    members = _members_index(m, k)
+    scores = [0] * math.comb(m, k)
+    for bt in ballots:
+        n, ranking = bt.multiplicity, bt.ranking
+        row = [n * (m - len(ranking) - 1) if model == "om" else 0] * len(scores)
+        for pos in range(len(ranking) - 1, -1, -1):
+            value = n * (m - 1 - pos)
+            for i in members[ranking[pos]]:
+                row[i] = value
+        scores = list(map(add, scores, row))
+    return scores
 
 
 def first_best_committee(
@@ -806,43 +820,39 @@ class CCScores:
     """Chamberlin-Courant scores of every size-k committee of one election.
 
     base holds them in itertools.combinations order and winners is their
-    argmax. The scores (_cc_scores) are linear in the ballot-type
-    multiplicities, so winners_without(selection) scores a removal by
-    difference: base minus, for each ballot type t the selection removes r
-    ballots of, r times the unit row of t (the scores of one ballot of type
-    t, built the first time a removal takes t).
+    argmax. The scores (_cc_scores) are a sum of one row per ballot type,
+    linear in its multiplicity, so winners_without(selection) scores a
+    removal by difference: the removed ballots, each type at the count the
+    selection removes, are scored as their own table, which is subtracted
+    from base once.
     """
 
     def __init__(self, election: Election, model: str):
         self.profile, self.k, self.model = election.profile, election.k, model
         self.base = _cc_scores(self.profile.ballots, self.profile.m, self.k, model)
         self.winners = self._argmax(self.base)
-        self._units: dict[int, array] = {}
 
     def _argmax(self, scores: Sequence[int]) -> WinnerSet:
         return first_best_committee(committees(self.profile.m, self.k), scores)
 
     def winners_without(self, selection: BallotSelection) -> WinnerSet:
         _validate_removal(self.profile, selection)
-        scores = self.base
-        for t, removed in selection.entries:
-            unit = self._units.get(t)
-            if unit is None:
-                one = (BallotType(self.profile.ballots[t].ranking, 1),)
-                unit = array("q", _cc_scores(one, self.profile.m, self.k, self.model))
-                self._units[t] = unit
-            if removed != 1:
-                unit = map(mul, unit, itertools.repeat(removed))
-            scores = list(map(sub, scores, unit))
-        return self._argmax(scores)
+        ballots = self.profile.ballots
+        removed = [
+            BallotType(ballots[t].ranking, count) for t, count in selection.entries
+        ]
+        table = _cc_scores(removed, self.profile.m, self.k, self.model)
+        return self._argmax(list(map(sub, self.base, table)))
 
 
 def cc(election: Election, model: str) -> WinnerSet:
     """Exact Chamberlin-Courant: argmax of cc_score over all size-k committees.
 
     Ties go to the lexicographically smallest id tuple, with the tie flag set.
-    Refuses profiles with more than MAX_ENUM_CANDIDATES candidates. See
-    CCScores for how a removal is scored by difference.
+    Refuses profiles with more than MAX_ENUM_CANDIDATES candidates. The
+    scores are summed from one row per ballot type, written through the
+    committees each candidate belongs to (_cc_scores); see CCScores for how a
+    removal is scored as its own table and subtracted.
     """
     return CCScores(election, model).winners
 

@@ -1,9 +1,10 @@
 """Chamberlin-Courant as the argmax of its definition, kept as a test reference.
 
 Every committee is scored with the public cc_score, one ballot at a time,
-in itertools.combinations order. The production `cc` scores committees from
-integer columns, and probe sessions score removals by difference; the tests
-require both to give this winner set and tie flag.
+in itertools.combinations order. The production `cc` sums one row per
+ballot type, written through committee membership lists, and probe sessions
+score removals by difference; the tests require both to give this winner
+set and tie flag.
 """
 
 from __future__ import annotations

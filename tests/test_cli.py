@@ -539,6 +539,21 @@ def test_batch_deterministic_across_worker_counts(tmp_path, corpus, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_cli_import_loads_no_process_pool():
+    # only batch at more than one worker needs the pool, so importing the
+    # CLI, which every command does, loads none of its machinery
+    package_root = Path(cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(package_root), os.environ.get("PYTHONPATH")])
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, blocaudit.cli; print(sorted("
+         "{'concurrent.futures', 'multiprocessing'} & sys.modules.keys()))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_batch_resume_skips_done(tmp_path, corpus, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(CFG)

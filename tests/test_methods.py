@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import golden
 from blocaudit import (
     FAMILIES,
+    BallotSelection,
     Election,
     EnumerationGuardError,
     GeneratorSpec,
@@ -750,6 +751,53 @@ def test_cc_matches_bruteforce_on_randoms():
                 assert winners == reference_cc(election.profile, k, model)
                 flagged += winners.tie_flag
     assert flagged  # tied committees are among the cases
+
+
+def test_cc_tables_equal_cc_score_of_every_committee():
+    # the whole table, not only its argmax: every committee's score, for
+    # profiles holding bullets, complete rankings and random truncations
+    rng = random.Random(6217)
+    for m in range(2, 11):
+        for _ in range(3):
+            types = {(rng.randrange(m),): rng.randint(1, 9),
+                     tuple(rng.sample(range(m), m)): rng.randint(1, 9)}
+            for _ in range(rng.randint(0, 6)):
+                depth = rng.randint(1, m)
+                types[tuple(rng.sample(range(m), depth))] = rng.randint(1, 9)
+            names = [f"c{i}" for i in range(m)]
+            profile = make_election(names, sorted(types.items()), 1).profile
+            for k in sorted({1, rng.randint(1, m - 1), m - 1}):
+                for model in ("om", "pm"):
+                    want = [
+                        cc_score(profile, committee, model)
+                        for committee in itertools.combinations(range(m), k)
+                    ]
+                    got = methods._cc_scores(profile.ballots, m, k, model)
+                    assert got == want, (sorted(types.items()), k, model)
+
+
+def test_cc_winners_without_equals_cc_of_the_reduced_election():
+    # a removal scored as its own table and subtracted from the base gives
+    # the reduced election's committee and tie flag, also when it takes
+    # several ballots of one type
+    rng = random.Random(3390)
+    several = 0
+    for _ in range(80):
+        election = random_profile(rng, m_max=8, v_max=60, k_max=4)
+        profile = election.profile
+        picked = rng.sample(range(len(profile.ballots)),
+                            rng.randint(1, len(profile.ballots)))
+        selection = BallotSelection(tuple(
+            (t, rng.randint(1, profile.ballots[t].multiplicity)) for t in picked
+        ))
+        if selection.total == profile.total_ballots:
+            continue
+        several += any(count > 1 for _, count in selection.entries)
+        reduced = Election(remove_ballots(profile, selection), election.k)
+        for model in ("om", "pm"):
+            scores = methods.CCScores(election, model)
+            assert scores.winners_without(selection) == cc(reduced, model)
+    assert several >= 20
 
 
 def test_cc_rejects_unknown_model():
