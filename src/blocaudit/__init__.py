@@ -25,6 +25,7 @@ from .criteria import (
     search_ilvb,
     search_iwvb,
     search_party_swaps,
+    verify_record,
 )
 from .errors import (
     BlocauditError,
@@ -155,4 +156,5 @@ __all__ = [
     "serialize_blt",
     "solid_coalitions",
     "tabulate",
+    "verify_record",
 ]

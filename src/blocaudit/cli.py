@@ -20,6 +20,9 @@ audit and batch run the five audit rules (AUDIT_METHODS) and share one
 settings parser and one per-file audit: audit reads its settings from flags,
 batch from its config file, and both validate them before any election runs.
 
+batch spot-checks every hundredth record with criteria.verify_record, which
+compares the whole record with the one the public check returns.
+
 Exit codes: 0 success, 1 a batch record that failed its spot check (the
 reports are still written), 2 input problems (unreadable or malformed files,
 bad parameters), 3 computation refusals (non-convergence, enumeration guards,
@@ -40,7 +43,6 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from .criteria import (
-    CHECKS,
     CRITERIA,
     ProbeSession,
     SearchParams,
@@ -48,6 +50,7 @@ from .criteria import (
     search_ilvb,
     search_iwvb,
     search_party_swaps,
+    verify_record,
 )
 from .errors import ComputationError, InputError
 from .formats import PARSERS, load_election, read_utf8, serialize_blt
@@ -59,7 +62,7 @@ from .methods import (
     result_to_json,
     tabulate,
 )
-from .profiles import Election, selection_ballots, selection_from_rankings
+from .profiles import Election, selection_ballots
 from .psc import (
     QUOTAS,
     _best_compatible,
@@ -299,27 +302,14 @@ def _batch_worker(task):
     )
 
 
-def _spot_check(record: dict, path: Path) -> bool:
-    """Re-verify one JSON record from scratch through the public checks."""
-    election = load_election(path)
-    selection = selection_from_rankings(
-        election.profile,
-        [(tuple(entry["ranking"]), entry["count"]) for entry in record["removed"]],
-    )
-    fresh = CHECKS[record["criterion"]](election, record["method"], selection)
-    return (
-        fresh is not None
-        and sorted(fresh.original_winners.members) == record["winners_before"]
-        and sorted(fresh.modified_winners.members) == record["winners_after"]
-    )
-
-
 def _record_election(line: str) -> str | None:
-    """The election id of a records.jsonl line; None for a line cut short."""
+    """The election id of a records.jsonl line; None for a line cut short or
+    one that is not a record object."""
     try:
-        return json.loads(line)["election_id"]
-    except ValueError:
+        election_id = json.loads(line)["election_id"]
+    except (ValueError, KeyError, TypeError):
         return None
+    return election_id if isinstance(election_id, str) else None
 
 
 # batch's ledgers, the files it appends to as each election finishes, each
@@ -415,7 +405,8 @@ def cmd_batch(args) -> int:
             checked += 1
             # a record that can no longer be rebuilt fails its check too
             try:
-                passed, why = _spot_check(record, by_id[record["election_id"]]), ""
+                election = load_election(by_id[record["election_id"]])
+                passed, why = verify_record(record, election), ""
             except (InputError, ComputationError, OSError) as exc:
                 passed, why = False, f": {type(exc).__name__}: {exc}"
             if not passed:

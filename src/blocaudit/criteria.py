@@ -41,6 +41,8 @@ it, and one of the election less each distinct removal found
 (remove_ballots). Outside that memo only the session's base count
 tabulates. oracle_ilvb applies check_ilvb to every loser-only removal of a
 small instance and is the ground truth the heuristics are tested against.
+verify_record is record_to_json's inverse: it rebuilds a JSON record and
+says whether the public check returns that record, whole.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from .profiles import (
     fraction_of,
     remove_ballots,
     selection_ballots,
+    selection_from_rankings,
     selection_ranked_union,
 )
 
@@ -682,3 +685,26 @@ def record_to_json(
         "winners_after": sorted(record.modified_winners.members),
         "party_swap": record.party_swap,
     }
+
+
+def verify_record(doc: dict, election: Election) -> bool:
+    """Whether a JSON record re-verifies: the inverse of record_to_json.
+
+    The record is rebuilt from doc against the election's profile (a removal
+    the profile cannot hold raises InputError) and compared whole, both
+    winner sets and their tie flags included, with the record a fresh call
+    to the public check returns, party_swap copied from doc.
+    """
+    record = ViolationRecord(
+        doc["criterion"],
+        doc["method"],
+        selection_from_rankings(
+            election.profile,
+            [(entry["ranking"], entry["count"]) for entry in doc["removed"]],
+        ),
+        WinnerSet(frozenset(doc["winners_before"])),
+        WinnerSet(frozenset(doc["winners_after"])),
+        doc["party_swap"],
+    )
+    fresh = CHECKS[record.criterion](election, record.method, record.removed)
+    return fresh is not None and replace(fresh, party_swap=record.party_swap) == record

@@ -757,7 +757,7 @@ def committees(m: int, k: int) -> Iterable[tuple[int, ...]]:
     return itertools.combinations(range(m), k)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def _members_index(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """For each candidate, the indexes of the size-k committees that hold them.
 

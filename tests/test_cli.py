@@ -56,6 +56,14 @@ def test_tabulate_method_choice(capsys):
     code, out, _ = run(capsys, "tabulate", str(NORTH_AYRSHIRE), "-m", "meek")
     assert code == 0
     assert "winners:" in out
+    # the JSON log holds the exact quota and exhausted weight of every round
+    code, out, _ = run(capsys, "tabulate", str(NORTH_AYRSHIRE), "-m", "meek", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["winner_names"] == ["Burns", "Johnson", "McDonald"]
+    assert len(doc["rounds"]) == 42
+    assert doc["rounds"][-1]["quota"] == "940.83848"
+    assert doc["rounds"][-1]["exhausted"] == "261.64604"
 
 
 def test_tabulate_positional_with_vector(capsys):
@@ -105,6 +113,13 @@ def test_tabulate_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "tabulate", str(bad))
     assert code == 2
     assert "error:" in err
+    # a well-formed ward under an extension no parser reads
+    txt = tmp_path / "ward.txt"
+    shutil.copy(EAST_AYRSHIRE, txt)
+    code, out, err = run(capsys, "tabulate", str(txt))
+    assert code == 2
+    assert out == ""
+    assert "error: unsupported election file extension '.txt'" in err
 
 
 def test_tabulate_file_not_in_utf8(tmp_path, capsys):
@@ -346,6 +361,21 @@ def test_gen_writes_blt_and_manifest(tmp_path, capsys):
     code, tab_out, _ = run(capsys, "tabulate", str(out), "--json")
     doc = json.loads(tab_out)
     assert doc["winners"] == manifest["winners_before"]
+    # an audit of a generated IWVB* case finds the manifest's own removal
+    star = tmp_path / "star.blt"
+    code, _, _ = run(capsys, "gen", "stv-iwvb-star", "--k", "3", "--out", str(star))
+    assert code == 0
+    manifest = json.loads(star.with_suffix(".manifest.json").read_text())
+    code, out, _ = run(
+        capsys, "audit", str(star), "-m", "scottish", "--criteria", "iwvb-star"
+    )
+    assert code == 0
+    removals = [
+        doc["removed"] for doc in map(json.loads, out.splitlines())
+        if doc["criterion"] == "IWVB_STAR"
+    ]
+    assert manifest["removal"] == [{"ranking": [0], "count": 1000}]
+    assert manifest["removal"] in removals
 
 
 def test_gen_rejects_unknown_family(capsys):
@@ -428,6 +458,8 @@ def test_psc_refusal_prints_no_partial_report(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err == "error: committee enumeration needs m <= 20 candidates, got 21\n"
+    # Chamberlin-Courant refuses through the same guard, in the same words
+    assert run(capsys, "tabulate", str(wide), "-m", "cc-om") == (3, "", err)
 
 
 def test_psc_sv_enumerates_committees_once(capsys, monkeypatch):
@@ -721,18 +753,44 @@ def test_batch_without_resume_replaces_earlier_ledgers(tmp_path, corpus, capsys)
         assert (reused / name).read_text() == (fresh / name).read_text(), name
 
 
-def test_batch_spot_check_failure_exits_nonzero(
-    tmp_path, corpus, capsys, monkeypatch
-):
-    monkeypatch.setattr("blocaudit.cli._spot_check", lambda record, path: False)
+def test_batch_drops_ledger_lines_that_are_not_records(tmp_path, corpus, capsys):
+    # JSON lines that are no record object: a fresh run empties the ledger
+    # and a resumed one keeps only the records of elections that are done
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(CFG)
+    clean, reused = tmp_path / "clean", tmp_path / "reused"
+    for out_dir in (clean, reused):
+        code, _, _ = run(
+            capsys, "batch", str(corpus), "--config", str(cfg), "--out", str(out_dir)
+        )
+        assert code == 0
+    argv = ["batch", str(corpus), "--config", str(cfg), "--out", str(reused)]
+    for resume in ([], ["--resume"]):
+        with (reused / "records.jsonl").open("a") as f:
+            f.write('{"x": 1}\n[1]\n"ea"\n{"election_id": ["ea"]}\n')
+        code, _, _ = run(capsys, *argv, *resume)
+        assert code == 0
+        for name in BATCH_OUTPUTS:
+            assert (reused / name).read_text() == (clean / name).read_text(), name
+
+
+def test_batch_spot_check_failure_exits_nonzero(tmp_path, corpus, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(CFG)
     out_dir = tmp_path / "out"
-    code, _, err = run(
-        capsys, "batch", str(corpus), "--config", str(cfg), "--out", str(out_dir)
-    )
+    argv = ["batch", str(corpus), "--config", str(cfg), "--out", str(out_dir)]
+    assert run(capsys, *argv)[0] == 0
+    # the first record, the one spot-checked first, now claims the removal
+    # left the committee as it was; a resumed run re-verifies it
+    records = out_dir / "records.jsonl"
+    first, *rest = records.read_text().splitlines(keepends=True)
+    doc = json.loads(first)
+    assert doc["winners_after"] != doc["winners_before"]
+    doc["winners_after"] = doc["winners_before"]
+    records.write_text(json.dumps(doc) + "\n" + "".join(rest))
+    code, _, err = run(capsys, *argv, "--resume")
     assert code == 1
-    assert "spot-check FAILED" in err
+    assert f"spot-check FAILED: {doc}\n" in err
     for name in ("records.jsonl", "rows.csv", "report.csv"):
         assert (out_dir / name).read_text()
 

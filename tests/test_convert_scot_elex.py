@@ -1,5 +1,7 @@
 import codecs
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -177,6 +179,13 @@ def test_canonical_file_converts_to_itself(tmp_path):
     out = tmp_path / "ward5.blt"
     assert convert_scot_elex.main([str(EAST_AYRSHIRE), "--out", str(out)]) == 0
     assert out.read_bytes() == EAST_AYRSHIRE.read_bytes()
+    # and so it does when the script runs as a program
+    again = tmp_path / "again.blt"
+    subprocess.run(
+        [sys.executable, str(_SCRIPT), str(EAST_AYRSHIRE), "--out", str(again)],
+        check=True, capture_output=True,
+    )
+    assert again.read_bytes() == EAST_AYRSHIRE.read_bytes()
 
 
 def test_byte_order_mark_converts_like_the_file_without_it(tmp_path):

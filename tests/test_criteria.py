@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -31,9 +32,11 @@ from blocaudit import (
     search_party_swaps,
     selection_from_rankings,
     tabulate,
+    verify_record,
 )
+from blocaudit.cli import _audit_one
 from blocaudit.criteria import ProbeSession
-from blocaudit.methods import AUDIT_METHODS, CCScores
+from blocaudit.methods import AUDIT_METHODS, CCScores, WinnerSet
 from blocaudit.profiles import BallotSelection, selection_ranked_union
 from cc_reference import reference_cc
 from conftest import EAST_AYRSHIRE, random_profile, seeded_ward
@@ -772,6 +775,76 @@ def test_record_to_json_shape(east_ayrshire):
     assert doc["winners_before"] == sorted(golden.EA_WINNERS)
     assert all(set(e) == {"ranking", "count"} for e in doc["removed"])
     assert doc["party_swap"] is False
-    import json
-
     json.dumps(doc)  # must be directly serializable
+
+
+def single_edits(doc):
+    """(kind, record) for each record one edit away from doc: either winner
+    list replaced by the other, one removal count lowered by one, or the
+    criterion swapped."""
+    yield "winners", {**doc, "winners_after": doc["winners_before"]}
+    yield "winners", {**doc, "winners_before": doc["winners_after"]}
+    for i, entry in enumerate(doc["removed"]):
+        removed = list(doc["removed"])
+        removed[i] = {**entry, "count": entry["count"] - 1}
+        yield "count", {**doc, "removed": removed}
+    for criterion in criteria.CRITERIA:
+        if criterion != doc["criterion"]:
+            yield "criterion", {**doc, "criterion": criterion}
+
+
+def states_a_violation(election, doc) -> bool:
+    """Whether doc's removal, tabulated before and after, gives doc's winners
+    and meets doc's criterion as the README defines it."""
+    selection = selection_from_rankings(
+        election.profile, [(e["ranking"], e["count"]) for e in doc["removed"]]
+    )
+    before = tabulate(election, doc["method"]).winners
+    reduced = Election(remove_ballots(election.profile, selection), election.k)
+    after = tabulate(reduced, doc["method"]).winners
+    if (before, after) != tuple(
+        WinnerSet(frozenset(doc[key])) for key in ("winners_before", "winners_after")
+    ):
+        return False
+    ranked = selection_ranked_union(election.profile, selection)
+    w, a = before.members, after.members
+    return {
+        "ILVB": not ranked & w and a != w,
+        "IWVB": ranked < w and bool((w - ranked) - a),
+        "IWVB_STAR": ranked < w and ranked <= a and a != w,
+    }[doc["criterion"]]
+
+
+def test_verify_record_rechecks_audit_records_and_their_edits(
+    east_ayrshire, north_ayrshire
+):
+    # Every record of a party-swap audit of both wards verifies as it comes
+    # back from JSON. An edited record verifies exactly when it still states
+    # a violation, as two fresh tabulations and the definitions decide. A
+    # winner list edited never verifies, and a swap between ILVB and either
+    # IWVB form breaks the check's precondition. The other edits give true
+    # records here: on these wards every removal one ballot smaller leaves
+    # the same committee, and each IWVB record is an IWVB_STAR one and back.
+    outcomes = Counter()
+    for election, method in product((east_ayrshire, north_ayrshire), AUDIT_METHODS):
+        records, _ = _audit_one(
+            election, method, criteria.CRITERIA, SearchParams(), True
+        )
+        for record in records:
+            doc = json.loads(json.dumps(record_to_json(record, election.profile)))
+            outcomes["unedited", verify_record(doc, election)] += 1
+            for kind, edited in single_edits(doc):
+                try:
+                    verified = verify_record(edited, election)
+                except InputError:
+                    verified = "raised"
+                else:
+                    assert verified == states_a_violation(election, edited), edited
+                outcomes[kind, verified] += 1
+    assert outcomes == {
+        ("unedited", True): 28,
+        ("winners", False): 56,
+        ("count", True): 28,
+        ("criterion", True): 14,
+        ("criterion", "raised"): 42,
+    }
