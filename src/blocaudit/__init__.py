@@ -4,7 +4,8 @@ Everything computes in exact rational arithmetic. The public surface:
 
 - profiles: candidates, ballot types, elections, ballot selections.
 - formats: BLT and CSV reading/writing.
-- methods: the five voting rules plus positional scoring helpers.
+- methods: the five voting rules, run through tabulate (meek_stv for Meek's
+  settings), plus positional scoring helpers.
 - criteria: removal-violation checks, heuristic searches, the exhaustive
   small-case oracle, and party-swap searches.
 - psc: solid coalitions, quota constraints, committee enumeration, the
@@ -45,18 +46,14 @@ from .methods import (
     TabulationResult,
     WinnerSet,
     borda_vector,
-    cc,
     cc_score,
     droop_quota,
-    ear,
     exact_droop_quota,
     hare_quota,
     meek_stv,
     plurality_vector,
-    positional_committee,
     positional_scores,
     result_to_json,
-    scottish_stv,
     tabulate,
 )
 from .profiles import (
@@ -116,14 +113,12 @@ __all__ = [
     "audit_hare_psc",
     "ballots_ranking_only",
     "borda_vector",
-    "cc",
     "cc_score",
     "check_ilvb",
     "check_iwvb",
     "check_iwvb_star",
     "decimal_string",
     "droop_quota",
-    "ear",
     "enumerate_psc_committees",
     "exact_droop_quota",
     "fraction_of",
@@ -138,7 +133,6 @@ __all__ = [
     "parse_csv",
     "parse_rational",
     "plurality_vector",
-    "positional_committee",
     "positional_scores",
     "psc_constraints",
     "qpsc_method",
@@ -147,7 +141,6 @@ __all__ = [
     "record_to_json",
     "remove_ballots",
     "result_to_json",
-    "scottish_stv",
     "search_ilvb",
     "search_iwvb",
     "search_party_swaps",

@@ -46,6 +46,7 @@ from .criteria import (
     CRITERIA,
     ProbeSession,
     SearchParams,
+    is_record,
     record_to_json,
     search_ilvb,
     search_iwvb,
@@ -304,12 +305,12 @@ def _batch_worker(task):
 
 def _record_election(line: str) -> str | None:
     """The election id of a records.jsonl line; None for a line cut short or
-    one that is not a record object."""
+    one that is not a whole record."""
     try:
-        election_id = json.loads(line)["election_id"]
-    except (ValueError, KeyError, TypeError):
+        doc = json.loads(line)
+    except ValueError:
         return None
-    return election_id if isinstance(election_id, str) else None
+    return doc["election_id"] if is_record(doc) else None
 
 
 # batch's ledgers, the files it appends to as each election finishes, each
@@ -341,7 +342,7 @@ def cmd_batch(args) -> int:
 
     files = sorted(
         [p for p in corpus.iterdir() if p.suffix.lower() in PARSERS],
-        key=lambda p: p.stem,
+        key=lambda p: (p.stem, p.name),
     )
     by_id: dict[str, Path] = {}
     dup_errors = []

@@ -53,7 +53,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Iterable, NamedTuple, Union
 
-from .errors import OracleBudgetError, PreconditionError
+from .errors import InputError, OracleBudgetError, PreconditionError
 from .methods import (
     CC_MODELS,
     COUNTS,
@@ -669,10 +669,33 @@ def oracle_ilvb(
     return found
 
 
+# The keys of record_to_json's documents and of each entry of "removed",
+# with the type of each value.
+_RECORD_SHAPE = {
+    "election_id": str, "criterion": str, "method": str, "removed": list,
+    "winners_before": list, "winners_after": list, "party_swap": bool,
+}
+_REMOVED_SHAPE = {"ranking": list, "count": int}
+
+
+def _has_shape(doc, shape: dict) -> bool:
+    return isinstance(doc, dict) and all(
+        isinstance(doc.get(key), kind) for key, kind in shape.items()
+    )
+
+
+def is_record(doc) -> bool:
+    """Whether doc is a whole record: an object with every key of _RECORD_SHAPE,
+    each holding a value of its type, and each removed entry of _REMOVED_SHAPE."""
+    return _has_shape(doc, _RECORD_SHAPE) and all(
+        _has_shape(entry, _REMOVED_SHAPE) for entry in doc["removed"]
+    )
+
+
 def record_to_json(
     record: ViolationRecord, profile: PreferenceProfile, election_id: str = ""
 ) -> dict:
-    """Flatten a record to the JSON-lines shape used by audit logs."""
+    """Flatten a record to the JSON-lines shape used by audit logs (_RECORD_SHAPE)."""
     return {
         "election_id": election_id,
         "criterion": record.criterion,
@@ -690,11 +713,14 @@ def record_to_json(
 def verify_record(doc: dict, election: Election) -> bool:
     """Whether a JSON record re-verifies: the inverse of record_to_json.
 
-    The record is rebuilt from doc against the election's profile (a removal
-    the profile cannot hold raises InputError) and compared whole, both
-    winner sets and their tie flags included, with the record a fresh call
-    to the public check returns, party_swap copied from doc.
+    The record is rebuilt from doc against the election's profile and
+    compared whole, both winner sets and their tie flags included, with the
+    record a fresh call to the public check returns, party_swap copied from
+    doc. A doc that is not a whole record (is_record), or a removal the
+    profile cannot hold, raises InputError.
     """
+    if not is_record(doc):
+        raise InputError(f"not a whole violation record: {doc!r}")
     record = ViolationRecord(
         doc["criterion"],
         doc["method"],

@@ -1,12 +1,14 @@
 """The five multiwinner voting rules, in exact rational arithmetic.
 
-Every tabulation returns a TabulationResult: a WinnerSet plus a RoundLog
-holding per-round exact vote totals and the events that produced them.
-Scottish STV, Meek STV and EAR each have one integer count (COUNTS) over a
-profile's ballot types at given multiplicities: tabulate runs it with the
-round log, and a search probe (criteria.ProbeSession) runs it without one,
-over the source multiplicities less the removal, so a probe builds neither
-a reduced profile nor any Round, RoundEvent or RationalsOver.
+tabulate(election, tag) runs any of them and returns a TabulationResult: a
+WinnerSet plus a RoundLog holding per-round exact vote totals and the events
+that produced them. meek_stv is the one other way in, for a Meek tolerance
+or iteration cap other than the defaults. Scottish STV, Meek STV and EAR
+each have one integer count (COUNTS) over a profile's ballot types at given
+multiplicities: tabulate runs it with the round log, and a search probe
+(criteria.ProbeSession) runs it without one, over the source multiplicities
+less the removal, so a probe builds neither a reduced profile nor any Round,
+RoundEvent or RationalsOver.
 
 Tie handling: one deterministic rule breaks every tie, lowest candidate id
 first (_take_first) and the lexicographically smallest committee first
@@ -46,6 +48,7 @@ METHOD_TAGS = (*AUDIT_METHODS, "positional")
 MAX_ENUM_CANDIDATES = 20
 
 MEEK_KEEP_DENOMINATOR = 10**18
+DEFAULT_MEEK_TOLERANCE = rational(1, 10**9)
 DEFAULT_MEEK_MAX_ITERATIONS = 1000
 
 
@@ -242,13 +245,6 @@ def _eliminate_lowest(
 # no Round, RoundEvent or RationalsOver and returns a log of None. The tie
 # events are kept either way, since the tie flag is read from them.
 #
-# Scottish and EAR keep one weight per ballot type as an integer over one
-# common denominator den, which starts at 1 and is multiplied by q when a
-# transfer keeps p/q (in lowest terms) of a value. Over the same den,
-# Scottish keeps its totals and exhausted weight, EAR one support per
-# candidate.
-# Meek's totals are integers over the fixed scale D**L.
-#
 # Exactness: remove_ballots keeps the canonical type order and drops the
 # types that reach 0, so a count that skips the types of multiplicity 0
 # sees the reduced profile's types, in its order, with its counts. What a
@@ -265,11 +261,26 @@ def _eliminate_lowest(
 def _scottish_count(
     profile: PreferenceProfile, mults: Sequence[int], k: int, log: bool = False
 ) -> TabulationResult:
-    """Scottish STV over the profile's types at multiplicities mults (see scottish_stv).
+    """Fractional-transfer STV with a fixed integer quota.
 
-    Types of multiplicity 0 are skipped, and the integer quota is taken from
-    sum(mults), the live ballots, so the count equals scottish_stv on the
-    reduced profile; log builds the round log (see "The integer counts" above).
+    One transfer action per round: distribute the largest pending surplus at
+    value surplus/total per ballot, or eliminate the lowest hopeful at current
+    values. Candidates at or above quota are elected at the top of each round
+    and receive no further transfers; a distributed winner retains exactly the
+    quota. Rounds snapshot totals before that round's action, matching the
+    published votes-by-round layout.
+
+    The count adds integers, as EAR's does. Each ballot type's weight, every
+    total and the exhausted weight is an integer over one common denominator
+    den, which starts at 1, a type weighing its multiplicity. A candidate's
+    pile lists the ballot types they hold. A transfer at p/q (surplus/total
+    in lowest terms, or 1/1 for an elimination) multiplies den, every total,
+    every weight and the exhausted weight by q; each held type then weighs
+    w // q * p and goes to the first hopeful it ranks, or adds its weight
+    to the exhausted weight if it ranks none. That hopeful comes after the
+    holder, since every candidate a type ranks before its holder is
+    already elected or eliminated. Totals are compared with the quota as
+    total >= quota * den.
     """
     m = profile.m
     quota = droop_quota(sum(mults), k)
@@ -353,33 +364,6 @@ def _scottish_count(
     return _result("scottish", quota, elected, rounds, tie_events)
 
 
-def scottish_stv(election: Election) -> TabulationResult:
-    """Fractional-transfer STV with a fixed integer quota.
-
-    One transfer action per round: distribute the largest pending surplus at
-    value surplus/total per ballot, or eliminate the lowest hopeful at current
-    values. Candidates at or above quota are elected at the top of each round
-    and receive no further transfers; a distributed winner retains exactly the
-    quota. Rounds snapshot totals before that round's action, matching the
-    published votes-by-round layout.
-
-    The count (_scottish_count, which search probes run without the log)
-    adds integers, as EAR's does. Each ballot type's weight, every total
-    and the exhausted weight is an integer over one common denominator den,
-    which starts at 1, a type weighing its multiplicity. A candidate's pile
-    lists the ballot types they hold. A transfer at p/q (surplus/total in
-    lowest terms, or 1/1 for an elimination) multiplies den, every total,
-    every weight and the exhausted weight by q; each held type then weighs
-    w // q * p and goes to the first hopeful it ranks, or adds its weight
-    to the exhausted weight if it ranks none. That hopeful comes after the
-    holder, since every candidate a type ranks before its holder is
-    already elected or eliminated. Totals are compared with the quota as
-    total >= quota * den.
-    """
-    profile = election.profile
-    return _scottish_count(profile, profile.multiplicities, election.k, log=True)
-
-
 # ---------------------------------------------------------------------------
 # Meek STV
 
@@ -389,27 +373,40 @@ def _meek_count(
     mults: Sequence[int],
     k: int,
     log: bool = False,
-    tolerance=None,
-    max_iterations: int | None = None,
+    tolerance=DEFAULT_MEEK_TOLERANCE,
+    max_iterations: int = DEFAULT_MEEK_MAX_ITERATIONS,
 ) -> TabulationResult:
-    """Meek STV over the profile's types at multiplicities mults (see meek_stv).
+    """Meek STV (see meek_stv, which checks tolerance and max_iterations).
 
-    Types of multiplicity 0 are skipped, and both V = sum(mults) and the
-    longest ranking L behind scale = D**L are taken from the live types, so
-    the count equals meek_stv on the reduced profile, every integer
-    included; log builds the round log (see "The integer counts" above).
-    tolerance and max_iterations are as for meek_stv.
+    The count is in exact integer fixed point, after Hill, Wichmann and
+    Woodall, "Algorithm 123", Computer Journal 30(3), 1987. A keep factor is
+    an integer K <= D = MEEK_KEEP_DENOMINATOR standing for K/D; each update
+    rounds keep*quota/votes down to a multiple of 1/D, far below the
+    default tolerance. With L the longest ranking, a ballot type of
+    multiplicity n starts with weight n*D**L, so totals and exhausted weight
+    are integers over D**L. A candidate with keep K takes w*K // D, and the
+    division is exact: each earlier position with 0 < K < D multiplied w by
+    (D-K)/D, so before the j-th such position (j = 0, 1, ..., at most L-1)
+    w is still a multiple of D**(L-j) and D divides w*K. A position with
+    K = D takes all of w.
+
+    Where a type's weight goes depends only on its effective path: the
+    partials, the candidates with 0 < K < D in ranking order, and its end,
+    the first candidate with K = D, or exhaustion when it ranks none (those
+    with K = 0 are skipped). Types that share a path are summed into one
+    weight. A sum of multiples of D**(L-j) is still one, so the takes stay
+    exact and floor(sum(w)*K/D) = sum(floor(w*K/D)): the totals and the
+    exhausted weight are the same integers as type by type. The groups are
+    rebuilt only when a keep factor changes class (0, partial or D), that
+    is on an elimination or an update that moves K to or from D or to 0.
+    Between two regroups a path without partials sends all its weight to
+    its end every iteration, so those weights are summed once per regroup
+    into start totals, with one more slot for the exhausted weight. Each
+    iteration copies them and walks only the flowing paths (partials, end,
+    weight): each partial takes w*K // D of what is left, and the remainder
+    goes to the end's slot. Integer addition in another order gives the
+    same integers.
     """
-    if tolerance is None:
-        tolerance = rational(1, 10**9)
-    if max_iterations is None:
-        max_iterations = DEFAULT_MEEK_MAX_ITERATIONS
-    if tolerance < 0:
-        raise PreconditionError(f"Meek tolerance must be >= 0, got {tolerance}")
-    if max_iterations < 1:
-        raise PreconditionError(
-            f"Meek max_iterations must be >= 1, got {max_iterations}"
-        )
     live = [(bt.ranking, n) for bt, n in zip(profile.ballots, mults) if n]
     total = sum(mults)
     D = MEEK_KEEP_DENOMINATOR
@@ -538,10 +535,10 @@ def _meek_count(
 
 def meek_stv(
     election: Election,
-    tolerance=None,
-    max_iterations: int | None = None,
+    tolerance=DEFAULT_MEEK_TOLERANCE,
+    max_iterations: int = DEFAULT_MEEK_MAX_ITERATIONS,
 ) -> TabulationResult:
-    """Keep-factor STV with a dynamic quota.
+    """Keep-factor STV with a dynamic quota, at a chosen tolerance and cap.
 
     Each ballot's weight flows down its ranking; candidate c retains keep[c]
     of whatever reaches them. The quota (V - exhausted)/(k+1) is recomputed
@@ -549,41 +546,17 @@ def meek_stv(
     quota/votes until every elected total sits within tolerance (an exact
     rational, default 1e-9) of quota. When no progress is possible the
     lowest hopeful is excluded. max_iterations caps the keep-factor
-    iterations of the whole count (default DEFAULT_MEEK_MAX_ITERATIONS),
-    summed over every stage rather than per stage; passing it raises
-    MeekNonConvergenceError. A negative tolerance or a max_iterations below
-    1 raises PreconditionError.
-
-    The count (_meek_count, which search probes run without the log) is
-    in exact integer fixed point, after Hill, Wichmann and Woodall,
-    "Algorithm 123", Computer Journal 30(3), 1987. A keep factor is an
-    integer K <= D = MEEK_KEEP_DENOMINATOR standing for K/D; each update
-    rounds keep*quota/votes down to a multiple of 1/D, far below the
-    default tolerance. With L the longest ranking, a ballot type of
-    multiplicity n starts with weight n*D**L, so totals and exhausted weight
-    are integers over D**L. A candidate with keep K takes w*K // D, and the
-    division is exact: each earlier position with 0 < K < D multiplied w by
-    (D-K)/D, so before the j-th such position (j = 0, 1, ..., at most L-1)
-    w is still a multiple of D**(L-j) and D divides w*K. A position with
-    K = D takes all of w.
-
-    Where a type's weight goes depends only on its effective path: the
-    partials, the candidates with 0 < K < D in ranking order, and its end,
-    the first candidate with K = D, or exhaustion when it ranks none (those
-    with K = 0 are skipped). Types that share a path are summed into one
-    weight. A sum of multiples of D**(L-j) is still one, so the takes stay
-    exact and floor(sum(w)*K/D) = sum(floor(w*K/D)): the totals and the
-    exhausted weight are the same integers as type by type. The groups are
-    rebuilt only when a keep factor changes class (0, partial or D), that
-    is on an elimination or an update that moves K to or from D or to 0.
-    Between two regroups a path without partials sends all its weight to
-    its end every iteration, so those weights are summed once per regroup
-    into start totals, with one more slot for the exhausted weight. Each
-    iteration copies them and walks only the flowing paths (partials, end,
-    weight): each partial takes w*K // D of what is left, and the remainder
-    goes to the end's slot. Integer addition in another order gives the
-    same integers.
+    iterations of the whole count, summed over every stage rather than per
+    stage; passing it raises MeekNonConvergenceError. A negative tolerance
+    or a max_iterations below 1 raises PreconditionError.
+    tabulate(election, "meek") runs the same count at the defaults.
     """
+    if tolerance < 0:
+        raise PreconditionError(f"Meek tolerance must be >= 0, got {tolerance}")
+    if max_iterations < 1:
+        raise PreconditionError(
+            f"Meek max_iterations must be >= 1, got {max_iterations}"
+        )
     profile = election.profile
     return _meek_count(
         profile, profile.multiplicities, election.k, log=True,
@@ -598,16 +571,28 @@ def meek_stv(
 def _ear_count(
     profile: PreferenceProfile, mults: Sequence[int], k: int, log: bool = False
 ) -> TabulationResult:
-    """EAR over the profile's types at multiplicities mults (see ear).
+    """Expanding approvals with the exact quota V/(k+1).
 
-    Types of multiplicity 0 are skipped, and the Droop quota is taken from
-    sum(mults), the live ballots, so the count equals ear on the reduced
-    profile; log builds the round log (see "The integer counts" above).
+    A rank threshold j starts at 1. A candidate's support is the total weight
+    of ballots ranking them at position <= j. While seats remain: elect the
+    unelected candidate with the largest support at or above quota, rescaling
+    supporting ballots by (support - quota)/support; if nobody qualifies,
+    j grows. Should j pass the longest possible ranking with seats still
+    open, the remaining seats go to the candidates with greatest support in
+    turn, each election zeroing its supporters' weights.
 
-    The steps read the profile's cached indexes rather than scan every
-    type: raising the threshold past depth j touches only the types in
-    profile.ranked_at[j], and an election touches only the types in
-    profile.ranks_of[chosen] that rank the chosen within the threshold.
+    The count adds integers, as Scottish STV's does. Each ballot type's
+    weight and each candidate's support is an integer over one common
+    denominator den, which starts at 1, a type weighing its multiplicity.
+    Raising the threshold to j + 1 adds each type's weight to the support
+    of the candidate it ranks at depth j, so it touches only the types in
+    profile.ranked_at[j]. An election reduces (support - quota)/support of
+    the chosen to p/q (0/1 past the longest ranking) and multiplies den,
+    every weight and every support by q; each supporter, a type in
+    profile.ranks_of[chosen] that ranks the chosen within the threshold,
+    then loses cut = w - w // q * p of its weight w, and so does the support
+    of each candidate in its top j. A contender is one with
+    support * qd >= qn * den for the quota qn/qd.
     """
     m = profile.m
     quota = exact_droop_quota(sum(mults), k)
@@ -682,33 +667,6 @@ def _ear_count(
                     support[cid] -= cut
 
     return _result("ear", quota, elected, rounds, tie_events, notes)
-
-
-def ear(election: Election) -> TabulationResult:
-    """Expanding approvals with the exact quota V/(k+1).
-
-    A rank threshold j starts at 1. A candidate's support is the total weight
-    of ballots ranking them at position <= j. While seats remain: elect the
-    unelected candidate with the largest support at or above quota, rescaling
-    supporting ballots by (support - quota)/support; if nobody qualifies,
-    j grows. Should j pass the longest possible ranking with seats still
-    open, the remaining seats go to the candidates with greatest support in
-    turn, each election zeroing its supporters' weights.
-
-    The count (_ear_count, which search probes run without the log) is
-    exact and adds integers, as Scottish STV's does. Each ballot type's
-    weight and each candidate's support is an integer over one common
-    denominator den, which starts at 1, a type weighing its multiplicity.
-    Raising the threshold to j + 1 adds each type's weight to the support
-    of the candidate it ranks at depth j. An election reduces
-    (support - quota)/support of the chosen to p/q (0/1 past the longest
-    ranking) and multiplies den, every weight and every support by q;
-    each supporter then loses cut = w - w // q * p of its weight w, and so
-    does the support of each candidate in its top j. A contender is one
-    with support * qd >= qn * den for the quota qn/qd.
-    """
-    profile = election.profile
-    return _ear_count(profile, profile.multiplicities, election.k, log=True)
 
 
 # The one count of each integer-counting rule, by tag: tabulate runs it
@@ -817,9 +775,12 @@ def first_best_committee(
 
 
 class CCScores:
-    """Chamberlin-Courant scores of every size-k committee of one election.
+    """Exact Chamberlin-Courant: the argmax of cc_score over all size-k committees.
 
-    base holds them in itertools.combinations order and winners is their
+    Ties go to the lexicographically smallest id tuple, with the tie flag
+    set. Refuses profiles with more than MAX_ENUM_CANDIDATES candidates, and
+    a model other than "om" or "pm" (ValueError). base holds every
+    committee's score in itertools.combinations order and winners is their
     argmax. The scores (_cc_scores) are a sum of one row per ballot type,
     linear in its multiplicity, so winners_without(selection) scores a
     removal by difference: the removed ballots, each type at the count the
@@ -843,18 +804,6 @@ class CCScores:
         ]
         table = _cc_scores(removed, self.profile.m, self.k, self.model)
         return self._argmax(list(map(sub, self.base, table)))
-
-
-def cc(election: Election, model: str) -> WinnerSet:
-    """Exact Chamberlin-Courant: argmax of cc_score over all size-k committees.
-
-    Ties go to the lexicographically smallest id tuple, with the tie flag set.
-    Refuses profiles with more than MAX_ENUM_CANDIDATES candidates. The
-    scores are summed from one row per ballot type, written through the
-    committees each candidate belongs to (_cc_scores); see CCScores for how a
-    removal is scored as its own table and subtracted.
-    """
-    return CCScores(election, model).winners
 
 
 # ---------------------------------------------------------------------------
@@ -907,15 +856,6 @@ def positional_scores(
     return scores
 
 
-def positional_committee(election: Election, sv: ScoringVector) -> WinnerSet:
-    """The k candidates with the highest positional scores.
-
-    Ordered by (score desc, id asc); the tie flag is set when the seat
-    boundary splits candidates with equal scores.
-    """
-    return tabulate(election, "positional", sv=sv).winners
-
-
 # ---------------------------------------------------------------------------
 # Dispatcher and JSON rendering
 
@@ -923,7 +863,7 @@ def positional_committee(election: Election, sv: ScoringVector) -> WinnerSet:
 def tabulate(
     election: Election, method: str, *, sv: ScoringVector | None = None
 ) -> TabulationResult:
-    """Run one of the five rules by tag; see METHOD_TAGS.
+    """Run one of the five rules by tag, with its round log; see METHOD_TAGS.
 
     sv applies to positional only (default Borda); passing it with any other
     rule raises PreconditionError. Meek runs at its default settings (see
@@ -938,8 +878,11 @@ def tabulate(
         profile = election.profile
         return count(profile, profile.multiplicities, election.k, log=True)
     if method in CC_MODELS:
-        return _one_round(method, cc(election, CC_MODELS[method]), {})
+        return _one_round(method, CCScores(election, CC_MODELS[method]).winners, {})
     if method == "positional":
+        # The k candidates with the highest positional scores, ordered by
+        # (score desc, id asc); a tie at the seat boundary is logged and
+        # sets the tie flag.
         if sv is None:
             sv = borda_vector(election.profile.m)
         scores = positional_scores(election.profile, sv)

@@ -1,8 +1,10 @@
 """Ballot data model and the ballot-removal algebra.
 
 Candidate ids are dense indices 0..m-1. Rankings are tuples of ids ordered
-from most to least preferred; a length-1 ranking is a bullet vote. All types
-are immutable, so profiles can be shared freely across worker processes.
+from most to least preferred; a length-1 ranking is a bullet vote. Every
+type is a frozen value: its fields never change, and ==, hash and repr read
+only them. A profile's cached views and search memos live outside the value,
+in the instance's __dict__, and are built on first use.
 
 A profile stores its ballot types in canonical order (sorted by ranking) with
 duplicate rankings merged. BallotSelection indices always refer to that

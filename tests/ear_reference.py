@@ -3,10 +3,10 @@
 This is the count as first written: every ballot type carries its own
 rational weight, every threshold rescans every ballot to total the
 supports, and an election multiplies each supporter's weight by the
-rescaling factor. The production `ear` instead keeps one integer weight
-per ballot type and one integer support per candidate over a common
-denominator, updating only the types a step touches; the tests require the
-two to produce identical round logs.
+rescaling factor. The production count (`tabulate(election, "ear")`)
+instead keeps one integer weight per ballot type and one integer support
+per candidate over a common denominator, updating only the types a step
+touches; the tests require the two to produce identical round logs.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 This is the keep-factor count as first written: every ballot weight, total
 and keep factor is a rational, and keep factors are quantized to
-denominator 10**18 after each update. The production `meek_stv` computes
-the same count in integer fixed point; the tests require the two to produce
+denominator 10**18 after each update. The production count (`meek_stv`,
+and `tabulate(election, "meek")` at the defaults) computes the same count
+in integer fixed point; the tests require the two to produce
 identical round logs.
 """
 

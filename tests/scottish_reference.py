@@ -2,9 +2,9 @@
 
 This is the count as first written: every parcel of ballots carries its
 own rational value, and each transfer multiplies and adds one rational per
-parcel. The production `scottish_stv` counts in integers over one common
-denominator instead; the tests require the two to produce identical round
-logs.
+parcel. The production count (`tabulate(election, "scottish")`) counts in
+integers over one common denominator instead; the tests require the two to
+produce identical round logs.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def _eliminate_lowest(totals, status, rnd: Round, tie_events: list[TieEvent]) ->
     return out
 
 
-def reference_scottish_stv(election) -> TabulationResult:
+def reference_scottish(election) -> TabulationResult:
     profile = election.profile
     k = election.k
     quota = droop_quota(profile.total_ballots, k)

@@ -33,7 +33,6 @@ from blocaudit import (
     selection_from_rankings,
     tabulate,
 )
-from blocaudit.methods import positional_committee
 from blocaudit.worstcase import FAMILIES, GeneratorSpec, generate
 from conftest import EAST_AYRSHIRE, NORTH_AYRSHIRE, assert_rounds_match
 
@@ -298,7 +297,7 @@ def test_acceptance_5_positional_removal_immunity():
             order = sorted(range(m), key=lambda c: (-base[c], c))
             winners = frozenset(order[:k])
             base_tie = base[order[k - 1]] == base[order[k]]
-            got = positional_committee(election, sv)
+            got = tabulate(election, "positional", sv=sv).winners
             assert got.members == winners and got.tie_flag == base_tie
             if base_tie:
                 continue

@@ -754,8 +754,9 @@ def test_batch_without_resume_replaces_earlier_ledgers(tmp_path, corpus, capsys)
 
 
 def test_batch_drops_ledger_lines_that_are_not_records(tmp_path, corpus, capsys):
-    # JSON lines that are no record object: a fresh run empties the ledger
-    # and a resumed one keeps only the records of elections that are done
+    # JSON lines that are not whole records, among them two naming a done
+    # election: a fresh run empties the ledger and a resumed one keeps only
+    # the records of elections that are done
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(CFG)
     clean, reused = tmp_path / "clean", tmp_path / "reused"
@@ -764,14 +765,51 @@ def test_batch_drops_ledger_lines_that_are_not_records(tmp_path, corpus, capsys)
             capsys, "batch", str(corpus), "--config", str(cfg), "--out", str(out_dir)
         )
         assert code == 0
+    first = json.loads((clean / "records.jsonl").read_text().splitlines()[0])
+    assert first["election_id"] == "ea"
+    del first["party_swap"]
     argv = ["batch", str(corpus), "--config", str(cfg), "--out", str(reused)]
     for resume in ([], ["--resume"]):
         with (reused / "records.jsonl").open("a") as f:
             f.write('{"x": 1}\n[1]\n"ea"\n{"election_id": ["ea"]}\n')
+            f.write('{"election_id": "ea"}\n' + json.dumps(first) + "\n")
         code, _, _ = run(capsys, *argv, *resume)
         assert code == 0
         for name in BATCH_OUTPUTS:
             assert (reused / name).read_text() == (clean / name).read_text(), name
+
+
+def test_batch_audits_the_same_file_of_a_shared_stem_in_any_listing_order(
+    tmp_path, capsys, monkeypatch
+):
+    # ea.blt and ea.csv share an election id; the file whose name sorts
+    # first is audited and the other is named a duplicate, whichever the
+    # directory lists first
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    shutil.copy(EAST_AYRSHIRE, corpus_dir / "ea.blt")
+    (corpus_dir / "ea.csv").write_text(
+        "seats,1\ncandidate,Ann\ncandidate,Bob\n3,Ann,Bob\n2,Bob\n"
+    )
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(CFG)
+    listed = Path.iterdir
+
+    def listing(path, reverse):
+        return iter(sorted(listed(path), key=lambda p: p.suffix, reverse=reverse))
+
+    outputs = []
+    for reverse in (False, True):
+        monkeypatch.setattr(Path, "iterdir", lambda path: listing(path, reverse))
+        out_dir = tmp_path / f"out{reverse}"
+        code, _, _ = run(capsys, "batch", str(corpus_dir), "--config", str(cfg),
+                         "--out", str(out_dir))
+        assert code == 0
+        outputs.append([(out_dir / name).read_text() for name in BATCH_OUTPUTS])
+    assert outputs[0] == outputs[1]
+    records, _, done, errors, _, _ = outputs[0]
+    assert len(records.splitlines()) == 7 and done == "ea\n"
+    assert errors == f"{corpus_dir / 'ea.csv'}: duplicate election id 'ea'\n"
 
 
 def test_batch_spot_check_failure_exits_nonzero(tmp_path, corpus, capsys):

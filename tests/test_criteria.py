@@ -778,6 +778,20 @@ def test_record_to_json_shape(east_ayrshire):
     json.dumps(doc)  # must be directly serializable
 
 
+def test_verify_record_refuses_a_document_that_is_not_a_whole_record(east_ayrshire):
+    record = search_ilvb(east_ayrshire, "scottish")[0]
+    doc = record_to_json(record, east_ayrshire.profile, election_id="ea")
+    assert criteria.is_record(doc) and verify_record(doc, east_ayrshire)
+    cut = [{k: v for k, v in doc.items() if k != key} for key in doc]
+    retyped = [{**doc, key: None} for key in doc]
+    entries = [{"ranking": [0]}, {"ranking": [0], "count": "22"}, [[0], 22]]
+    removed = [{**doc, "removed": [entry]} for entry in entries]
+    for bad in (*cut, *retyped, *removed, [doc], "ea", {"election_id": "ea"}):
+        assert not criteria.is_record(bad)
+        with pytest.raises(InputError):
+            verify_record(bad, east_ayrshire)
+
+
 def single_edits(doc):
     """(kind, record) for each record one edit away from doc: either winner
     list replaced by the other, one removal count lowered by one, or the

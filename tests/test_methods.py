@@ -17,10 +17,8 @@ from blocaudit import (
     ScoringVector,
     ballots_ranking_only,
     borda_vector,
-    cc,
     cc_score,
     droop_quota,
-    ear,
     fraction_of,
     generate,
     make_election,
@@ -29,7 +27,6 @@ from blocaudit import (
     positional_scores,
     remove_ballots,
     result_to_json,
-    scottish_stv,
     selection_from_rankings,
     tabulate,
 )
@@ -41,7 +38,7 @@ from cc_reference import reference_cc
 from conftest import assert_rounds_match, random_profile, round1, seeded_ward
 from ear_reference import reference_ear
 from meek_reference import reference_meek_stv
-from scottish_reference import reference_scottish_stv
+from scottish_reference import reference_scottish
 
 # ------------------------------------------------------------ real wards
 
@@ -352,13 +349,20 @@ def assert_same_count(got, want):
         assert mine.threshold == theirs.threshold, where
 
 
+def meek_at(election, tolerance):
+    """Meek at tolerance, or through tabulate at its default when None."""
+    if tolerance is None:
+        return tabulate(election, "meek")
+    return meek_stv(election, tolerance=tolerance)
+
+
 @pytest.mark.parametrize("tolerance", [None, rational(1, 10**3), rational(1, 10**15)])
 def test_meek_round_logs_match_rational_reference_on_wards(
     east_ayrshire, north_ayrshire, tolerance
 ):
     for election in (east_ayrshire, north_ayrshire):
         assert_same_count(
-            meek_stv(election, tolerance=tolerance),
+            meek_at(election, tolerance),
             reference_meek_stv(election, tolerance=tolerance),
         )
 
@@ -479,10 +483,10 @@ def test_meek_log_builds_totals_and_keep_factors_when_read(
     monkeypatch.setattr(methods, "rational", counting)
     monkeypatch.setattr(rationals, "rational", counting)
     rounds = meek_stv(north_ayrshire).log.rounds
-    # the default tolerance and the initial quota once per count, and each
-    # round's quota and exhausted weight: no total and no keep factor
+    # the initial quota once per count, and each round's quota and exhausted
+    # weight: no total and no keep factor
     built = len(calls)
-    assert built == 2 + 2 * len(rounds)
+    assert built == 1 + 2 * len(rounds)
     last = rounds[-1]
     assert last.totals[0] == last.totals[0]
     assert last.keep_factors[0] <= ONE
@@ -562,7 +566,7 @@ def test_ear_fallback_zeroes_supporters():
         [((0,), 1), ((2, 3), 1), ((3,), 4), ((3, 2, 1), 1)],
         3,
     )
-    result = ear(election)
+    result = tabulate(election, "ear")
     assert_same_count(result, reference_ear(election))
     assert result.winners.members == {0, 2, 3}
     assert [rnd.threshold for rnd in result.log.rounds] == [1, 5, 5]
@@ -583,7 +587,7 @@ def test_ear_exact_quota_zeroes_supporters_before_the_last_rank():
         [((0, 1), 8), ((2, 1), 5), ((3,), 4), ((1,), 2), ((4,), 1)],
         3,
     )
-    result = ear(election)
+    result = tabulate(election, "ear")
     assert_same_count(result, reference_ear(election))
     assert [rnd.events[0].candidate for rnd in result.log.rounds] == [0, 2, 1]
     assert [rnd.threshold for rnd in result.log.rounds] == [1, 1, 2]
@@ -597,7 +601,7 @@ def test_ear_round_logs_match_rational_reference_on_wards(
     east_ayrshire, north_ayrshire
 ):
     for election in (east_ayrshire, north_ayrshire):
-        assert_same_count(ear(election), reference_ear(election))
+        assert_same_count(tabulate(election, "ear"), reference_ear(election))
 
 
 def test_ear_round_logs_match_rational_reference_on_randoms():
@@ -607,7 +611,7 @@ def test_ear_round_logs_match_rational_reference_on_randoms():
         for _ in range(60):
             election = random_profile(rng, m_max=7, v_max=60, k_max=4)
             want = reference_ear(election)
-            assert_same_count(ear(election), want)
+            assert_same_count(tabulate(election, "ear"), want)
             fallbacks += bool(want.log.notes)
     assert fallbacks  # the rank-thresholds-exhausted branch is exercised
 
@@ -622,7 +626,7 @@ def test_ear_round_logs_match_rational_reference_on_worst_cases(family, k):
         remove_ballots(case.election.profile, case.removal), case.election.k
     )
     for election in (case.election, reduced):
-        assert_same_count(ear(election), reference_ear(election))
+        assert_same_count(tabulate(election, "ear"), reference_ear(election))
 
 
 def loser_removals(election, winners):
@@ -640,8 +644,9 @@ def loser_removals(election, winners):
 def test_ear_round_logs_match_rational_reference_on_loser_removals():
     election = seeded_ward(2024)
     probes = 0
-    for reduced in loser_removals(election, ear(election).winners.members):
-        assert_same_count(ear(reduced), reference_ear(reduced))
+    winners = tabulate(election, "ear").winners.members
+    for reduced in loser_removals(election, winners):
+        assert_same_count(tabulate(reduced, "ear"), reference_ear(reduced))
         probes += 1
     assert probes >= 10
 
@@ -653,7 +658,7 @@ def test_scottish_round_logs_match_rational_reference_on_wards(
     east_ayrshire, north_ayrshire
 ):
     for election in (east_ayrshire, north_ayrshire):
-        assert_same_count(scottish_stv(election), reference_scottish_stv(election))
+        assert_same_count(tabulate(election, "scottish"), reference_scottish(election))
 
 
 def test_scottish_round_logs_match_rational_reference_on_randoms():
@@ -662,8 +667,8 @@ def test_scottish_round_logs_match_rational_reference_on_randoms():
         rng = random.Random(seed)
         for _ in range(60):
             election = random_profile(rng, m_max=7, v_max=60, k_max=4)
-            want = reference_scottish_stv(election)
-            assert_same_count(scottish_stv(election), want)
+            want = reference_scottish(election)
+            assert_same_count(tabulate(election, "scottish"), want)
             transfers += sum(
                 rnd.exhausted > 0 and any(e.kind == "surplus" for e in rnd.events)
                 for rnd in want.log.rounds
@@ -682,14 +687,15 @@ def test_scottish_round_logs_match_rational_reference_on_worst_cases(family, k):
         remove_ballots(case.election.profile, case.removal), case.election.k
     )
     for election in (case.election, reduced):
-        assert_same_count(scottish_stv(election), reference_scottish_stv(election))
+        assert_same_count(tabulate(election, "scottish"), reference_scottish(election))
 
 
 def test_scottish_round_logs_match_rational_reference_on_loser_removals():
     election = seeded_ward(2024)
     probes = 0
-    for reduced in loser_removals(election, scottish_stv(election).winners.members):
-        assert_same_count(scottish_stv(reduced), reference_scottish_stv(reduced))
+    winners = tabulate(election, "scottish").winners.members
+    for reduced in loser_removals(election, winners):
+        assert_same_count(tabulate(reduced, "scottish"), reference_scottish(reduced))
         probes += 1
     assert probes >= 10
 
@@ -794,16 +800,17 @@ def test_cc_winners_without_equals_cc_of_the_reduced_election():
             continue
         several += any(count > 1 for _, count in selection.entries)
         reduced = Election(remove_ballots(profile, selection), election.k)
-        for model in ("om", "pm"):
+        for tag, model in methods.CC_MODELS.items():
             scores = methods.CCScores(election, model)
-            assert scores.winners_without(selection) == cc(reduced, model)
+            want = tabulate(reduced, tag).winners
+            assert scores.winners_without(selection) == want
     assert several >= 20
 
 
 def test_cc_rejects_unknown_model():
     election = make_election(["a", "b"], [((0,), 2), ((1,), 1)], 1)
     with pytest.raises(ValueError):
-        cc(election, "xx")
+        methods.CCScores(election, "xx")
 
 
 def test_cc_enumeration_guard():
@@ -846,7 +853,7 @@ def test_positional_scores_ignore_unranked():
     assert short[1] == 0
 
 
-def test_positional_committee_top_k_and_ties():
+def test_positional_top_k_and_ties():
     election = make_election(
         ["a", "b", "c", "d"], [((0,), 4), ((1,), 3), ((2,), 3), ((3,), 1)], 2
     )
@@ -871,7 +878,8 @@ def test_positional_scores_once_per_tabulation(east_ayrshire, monkeypatch):
     monkeypatch.setattr(methods, "positional_scores", counting)
     winners, log = tabulate(east_ayrshire, "positional")
     assert len(calls) == 1
-    assert winners == methods.positional_committee(east_ayrshire, calls[0])
+    again = tabulate(east_ayrshire, "positional", sv=calls[0])
+    assert winners == again.winners
     assert log.rounds[0].totals == real(east_ayrshire.profile, calls[0])
 
 
@@ -982,7 +990,7 @@ def tied_elections(draw):
 )
 def test_meek_round_logs_match_rational_reference(election, tolerance):
     assert_same_count(
-        meek_stv(election, tolerance=tolerance),
+        meek_at(election, tolerance),
         reference_meek_stv(election, tolerance=tolerance),
     )
 
@@ -990,10 +998,10 @@ def test_meek_round_logs_match_rational_reference(election, tolerance):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(elections(), tied_elections()))
 def test_ear_round_logs_match_rational_reference(election):
-    assert_same_count(ear(election), reference_ear(election))
+    assert_same_count(tabulate(election, "ear"), reference_ear(election))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(elections(), tied_elections()))
 def test_scottish_round_logs_match_rational_reference(election):
-    assert_same_count(scottish_stv(election), reference_scottish_stv(election))
+    assert_same_count(tabulate(election, "scottish"), reference_scottish(election))
