@@ -66,8 +66,8 @@ from .methods import (
 from .profiles import Election, selection_ballots
 from .psc import (
     QUOTAS,
-    _best_compatible,
     audit_hare_psc,
+    best_compatible,
     constraint_to_json,
     enumerate_psc_committees,
     psc_constraints,
@@ -522,7 +522,7 @@ def cmd_psc(args) -> int:
     report.append(f"compatible committees: {len(committees)}")
     if args.sv:
         scores = positional_scores(election.profile, _parse_sv(args.sv))
-        winners = _best_compatible(election, q, committees, scores)
+        winners = best_compatible(election, q, committees, scores)
         winner_names = ", ".join(names[c] for c in sorted(winners.members))
         tie = " (tie)" if winners.tie_flag else ""
         report.append(f"scoring winner: {winner_names}{tie}")

@@ -37,11 +37,12 @@ from .errors import (
 from .profiles import BallotSelection, BallotType, Election, PreferenceProfile
 from .profiles import _validate_removal
 from .rationals import (
-    ONE, ZERO, RationalsOver, decimal_string, floor_rational, rational,
+    ONE, ZERO, RationalsOver, decimal_string, rational,
 )
 
 CC_MODELS = {"cc-om": "om", "cc-pm": "pm"}  # Chamberlin-Courant tag -> model
-# The rules audits run; positional scoring needs a caller's vector.
+# The rules audits run. Positional is not one: k-Borda and k-plurality
+# committees are immune to removal flips (acceptance test 5).
 AUDIT_METHODS = ("scottish", "meek", "ear", *CC_MODELS)
 METHOD_TAGS = (*AUDIT_METHODS, "positional")
 
@@ -138,8 +139,21 @@ def _take_first(
 
     This is the one tie-break rule for candidates: equal values go to the
     lower id. When the cut after n splits candidates of equal value, a
-    TieEvent of this kind records them all and the ones taken.
+    TieEvent of this kind records them all and the ones taken. Taking one
+    candidate needs no sort: one pass finds the best value and who holds it.
     """
+    if n == 1:
+        tied: list[int] = []
+        for c in candidates:
+            v = value(c)
+            if not tied or v > best:
+                best, tied = v, [c]
+            elif v == best:
+                tied.append(c)
+        if len(tied) > 1:
+            tied.sort()
+            tie_events.append(TieEvent(round_number, kind, tuple(tied), (tied[0],)))
+        return tied[:1]
     order = sorted(candidates, key=lambda c: (-value(c), c))
     chosen = order[:n]
     if n < len(order):
@@ -250,8 +264,10 @@ def _eliminate_lowest(
 # sees the reduced profile's types, in its order, with its counts. What a
 # count reads from the profile as a whole comes from the live types alone,
 # as the reduced profile's would: the ballot total V = sum(mults) behind
-# Scottish's integer quota and EAR's Droop quota, and Meek's longest
-# ranking L.
+# Scottish's integer quota and EAR's Droop quota. Meek's scale is the one
+# exception: it reads the longest ranking of every type, live or not, which
+# may set a larger unit than the reduced profile's but logs the same
+# rationals (see _meek_count).
 
 
 # ---------------------------------------------------------------------------
@@ -382,94 +398,146 @@ def _meek_count(
     Woodall, "Algorithm 123", Computer Journal 30(3), 1987. A keep factor is
     an integer K <= D = MEEK_KEEP_DENOMINATOR standing for K/D; each update
     rounds keep*quota/votes down to a multiple of 1/D, far below the
-    default tolerance. With L the longest ranking, a ballot type of
-    multiplicity n starts with weight n*D**L, so totals and exhausted weight
-    are integers over D**L. A candidate with keep K takes w*K // D, and the
-    division is exact: each earlier position with 0 < K < D multiplied w by
-    (D-K)/D, so before the j-th such position (j = 0, 1, ..., at most L-1)
-    w is still a multiple of D**(L-j) and D divides w*K. A position with
-    K = D takes all of w.
+    default tolerance.
 
-    Where a type's weight goes depends only on its effective path: the
-    partials, the candidates with 0 < K < D in ranking order, and its end,
-    the first candidate with K = D, or exhaustion when it ranks none (those
-    with K = 0 are skipped). Types that share a path are summed into one
-    weight. A sum of multiples of D**(L-j) is still one, so the takes stay
-    exact and floor(sum(w)*K/D) = sum(floor(w*K/D)): the totals and the
-    exhausted weight are the same integers as type by type. The groups are
-    rebuilt only when a keep factor changes class (0, partial or D), that
-    is on an elimination or an update that moves K to or from D or to 0.
-    Between two regroups a path without partials sends all its weight to
-    its end every iteration, so those weights are summed once per regroup
-    into start totals, with one more slot for the exhausted weight. Each
-    iteration copies them and walks only the flowing paths (partials, end,
-    weight): each partial takes w*K // D of what is left, and the remainder
-    goes to the end's slot. Integer addition in another order gives the
-    same integers.
+    Elected candidates are partials. A ballot's weight flows along its
+    path: the partials, the elected candidates it ranks before its end, in
+    ranking order, then its end, the first hopeful it ranks, or exhaustion
+    when it ranks none. Eliminated candidates (K = 0) are skipped. A
+    partial takes K/D of what reaches them, all of it at K = D and none at
+    K = 0, so a keep update never changes a path; only an election or an
+    elimination does.
+
+    Regrouping by path end. Hopefuls are only ever path ends, so an election
+    or elimination changes only the paths that end at that candidate, and
+    those are walked on from the candidate's position, after every
+    candidate elected in that iteration has been marked. The types are in
+    canonical order, so the types that share a ranking prefix are one index
+    range (PreferenceProfile.prefix_tree), and a path holds such ranges,
+    each weighing a difference of one prefix sum of the multiplicities.
+    Types that share a path are summed into one weight. Round 1 sends every
+    ballot to its first preference, so the paths are first walked at the
+    first election or elimination, and a count that fills every seat in
+    round 1 walks none.
+
+    Scale. A path of n ballots starts at weight n*S, S = D**P, P = min(L,
+    k - 1), with L the longest ranking of any of the profile's types. While
+    iterations run at most k - 1 candidates are elected, and a live path
+    ranks at most L candidates, so no path has more than P partials. The
+    quota test, the tolerance test and the keep update compare or divide
+    integers of one unit, so every scale at which the takes are exact logs
+    the same rationals.
+
+    Takes without division. With partials K_0..K_(p-1) and Q_i the product
+    of (D - K_l) for l < i, the i-th partial takes n*K_i*Q_i*D**(P-1-i)
+    and the end receives n*Q_p*D**(P-p): the exact values
+    n*S*(K_i/D)*prod((D - K_l)/D), as integers, since p <= P. So totals
+    and the exhausted weight are exact integers over S. Each iteration
+    builds the takes of each distinct partials tuple once, from the summed
+    weight of its paths, and each end costs one multiply-add. Paths without
+    partials land in the same slot every iteration, so their weights are
+    summed once per change of paths into start totals, with a last slot for
+    the exhausted weight. Integer addition in another order gives the same
+    integers.
     """
-    live = [(bt.ranking, n) for bt, n in zip(profile.ballots, mults) if n]
     total = sum(mults)
     D = MEEK_KEEP_DENOMINATOR
-    scale = D ** max(len(ranking) for ranking, _ in live)
+    longest, root = profile.prefix_tree
+    P = min(longest, k - 1)
+    powers = [D**j for j in range(P + 1)]
+    scale = powers[P]
     full = total * scale
     # quota = (full - exhausted) / quota_den = quota_num / quota_den, so a
     # total T reaches it when T*(k+1) >= quota_num; the tolerance is scaled
     # to the same unit 1/quota_den, and floored, since it bounds an integer.
     k1 = k + 1
     quota_den = k1 * scale
-    tolerance_scaled = floor_rational(tolerance * quota_den)
+    tolerance_scaled = (
+        int(tolerance.numerator) * quota_den // int(tolerance.denominator)
+    )
 
     m = profile.m
     hopefuls = set(range(m))
+    won: set[int] = set()
     keep = [D] * m
+    cum = list(itertools.accumulate(mults, initial=0))
+    # Round 1 sends every ballot to its first preference.
+    start = [0] * (m + 1)
+    for c, lo, hi, _ in root[1]:
+        start[c] = (cum[hi] - cum[lo]) * scale
+    flowing: list = []
+    # partials -> end -> weight in ballots, end m for exhaustion, and for
+    # each hopeful the (partials, node) pairs whose paths end at them; both
+    # are built at the first election or elimination
+    paths: dict[tuple[int, ...], dict[int, int]] = {}
+    ending: dict[int, list[tuple[tuple[int, ...], tuple]]] = {}
 
-    def group() -> tuple[list[int], list[tuple[tuple[int, ...], int, int]]]:
-        """The weight of each effective path under the current keep factors.
+    def walk(partials: tuple[int, ...], node: tuple) -> None:
+        """Add the paths of a node's types, from past its prefix on."""
+        stop, children = node
+        if stop is not None and mults[stop]:
+            ends = paths.setdefault(partials, {})
+            ends[m] = ends.get(m, 0) + mults[stop]
+        for c, lo, hi, child in children:
+            n = cum[hi] - cum[lo]
+            if not n:
+                continue
+            if c in hopefuls:
+                ends = paths.setdefault(partials, {})
+                ends[c] = ends.get(c, 0) + n
+                ending.setdefault(c, []).append((partials, child))
+            elif c in won:
+                walk(partials + (c,), child)
+            else:
+                walk(partials, child)
 
-        A path is (partials, end): the candidates with 0 < K < D in ranking
-        order, then the first with K = D, or m when the rest exhausts. start
-        has a slot per candidate and slot m for the exhausted weight, and
-        holds the weight of every path without partials, which lands in the
-        same slot at every iteration until the next regroup. The flowing
-        paths follow as (partials, end, weight).
-        """
-        counts: dict[tuple[tuple[int, ...], int], int] = {}
-        for ranking, n in live:
-            partials = []
-            end = m
-            for cid in ranking:
-                kf = keep[cid]
-                if kf == D:
-                    end = cid
-                    break
-                if kf:
-                    partials.append(cid)
-            path = (tuple(partials), end)
-            counts[path] = counts.get(path, 0) + n
+    def move(changed: list[int]) -> None:
+        """Walk on the paths that end at the candidates just elected or
+        eliminated, then rebuild start and flowing."""
+        nonlocal start, flowing
+        if not paths:
+            # the first change: the changed candidates are the only ones
+            # not hopeful, so one walk from the root finds every path
+            walk((), root)
+        else:
+            moved = [(c, ending.pop(c, ())) for c in changed]
+            for c, pairs in moved:
+                for partials, _ in pairs:
+                    ends = paths.get(partials)
+                    if ends and ends.pop(c, None) is not None and not ends:
+                        del paths[partials]
+            for c, pairs in moved:
+                grown = c in won
+                for partials, node in pairs:
+                    walk(partials + (c,) if grown else partials, node)
         start = [0] * (m + 1)
         flowing = []
-        for (partials, end), n in counts.items():
+        for partials, ends in paths.items():
             if partials:
-                flowing.append((partials, end, n * scale))
+                flowing.append((partials, sum(ends.values()), list(ends.items())))
             else:
-                start[end] += n * scale
-        return start, flowing
+                for end, n in ends.items():
+                    start[end] = n * scale
 
     elected: list[int] = []
     rounds: list[Round] | None = [] if log else None
     tie_events: list[TieEvent] = []
     events = None
-    start, flowing = group()
 
     number = 0
     while len(elected) < k:
         totals = start.copy()
-        for partials, end, w in flowing:
+        for partials, n, ends in flowing:
+            q = 1  # the product of (D - K) over the partials so far
+            j = P
             for cid in partials:
-                take = w * keep[cid] // D
-                totals[cid] += take
-                w -= take
-            totals[end] += w
+                kf = keep[cid]
+                j -= 1
+                totals[cid] += n * kf * q * powers[j]
+                q *= D - kf
+            unit = q * powers[j]
+            for end, n_end in ends:
+                totals[end] += n_end * unit
         exhausted = totals.pop()
         quota_num = full - exhausted
         number += 1
@@ -492,42 +560,34 @@ def _meek_count(
             raise MeekNonConvergenceError(max_iterations)
         # T*(k+1) >= quota_num exactly when T >= ceil(quota_num / (k+1))
         bar = -(-quota_num // k1)
-        crossed = False
-        for c in hopefuls:
-            if totals[c] >= bar:
-                crossed = True
-                break
-        if crossed:
-            _elect_crossers(
+        if max(map(totals.__getitem__, hopefuls)) >= bar:
+            crossers = _elect_crossers(
                 totals, bar, hopefuls, elected, k, number, events, tie_events
             )
             if len(elected) == k:
                 break
-
-        converged = not crossed
-        if converged:
+            won.update(crossers)
+            move(crossers)
+        else:
+            converged = True
             for c in elected:
                 gap = totals[c] * k1 - quota_num
                 if gap > tolerance_scaled or gap < -tolerance_scaled:
                     converged = False
                     break
-        if converged:
-            out = _eliminate_lowest(totals, hopefuls, number, events, tie_events)
-            keep[out] = 0
-            start, flowing = group()
-            continue
+            if converged:
+                out = _eliminate_lowest(totals, hopefuls, number, events, tie_events)
+                keep[out] = 0
+                move([out])
+                continue
 
-        regroup = False
         for c in elected:
             if totals[c] > 0:
                 # floor(D * keep*quota/votes), capped at 1
                 kf = keep[c] * quota_num // (k1 * totals[c])
                 if kf > D:
                     kf = D
-                regroup |= kf == 0 or (kf == D) != (keep[c] == D)
                 keep[c] = kf
-        if regroup:
-            start, flowing = group()
 
     initial_quota = exact_droop_quota(total, k) if log else None
     return _result("meek", initial_quota, elected, rounds, tie_events)

@@ -134,6 +134,38 @@ class PreferenceProfile:
                 pairs[cid].append((t, pos))
         return tuple(map(tuple, pairs))
 
+    @cached_property
+    def prefix_tree(self) -> tuple[int, tuple]:
+        """(longest ranking, root): the rankings as a tree of shared prefixes.
+
+        A node stands for the types whose rankings start with one prefix.
+        They form a contiguous index range, since the types are in canonical
+        order. A node is (stop, children): stop is the index of the type
+        whose ranking is the prefix itself, or None, and children holds
+        (c, lo, hi, child) for each candidate c that comes next after the
+        prefix, in id order, where types lo..hi-1 go on with c and child is
+        their node. The root stands for the empty prefix, and there is one
+        node per distinct prefix, so at most one per ranked position.
+        """
+        rankings = [bt.ranking for bt in self.ballots]
+
+        def node(lo: int, hi: int, d: int) -> tuple:
+            stop = None
+            if len(rankings[lo]) == d:
+                stop = lo
+                lo += 1
+            children = []
+            while lo < hi:
+                c = rankings[lo][d]
+                end = lo + 1
+                while end < hi and rankings[end][d] == c:
+                    end += 1
+                children.append((c, lo, end, node(lo, end, d + 1)))
+                lo = end
+            return stop, tuple(children)
+
+        return max(map(len, rankings)), node(0, len(rankings), 0)
+
     # Memos of the removal searches (criteria.ProbeSession fills them), kept
     # here so that the searches of every rule over this profile share them.
 

@@ -120,10 +120,10 @@ def qpsc_scoring_rule(election: Election, q, sv: ScoringVector) -> WinnerSet:
     """
     scores = positional_scores(election.profile, sv)
     compatible = enumerate_psc_committees(election, q)
-    return _best_compatible(election, q, compatible, scores)
+    return best_compatible(election, q, compatible, scores)
 
 
-def _best_compatible(election: Election, q, compatible, scores) -> WinnerSet:
+def best_compatible(election: Election, q, compatible, scores) -> WinnerSet:
     """qpsc_scoring_rule from the compatible committees and the candidates'
     positional scores."""
     if not compatible:
@@ -153,7 +153,7 @@ def qpsc_method(sv: ScoringVector, q_mode: str = "droop"):
         q = QUOTAS[q_mode](election.profile.total_ballots, election.k)
         scores = positional_scores(election.profile, sv)
         compatible = enumerate_psc_committees(election, q)
-        winners = _best_compatible(election, q, compatible, scores)
+        winners = best_compatible(election, q, compatible, scores)
         return _one_round("qpsc", winners, scores, q, notes=(f"quota mode: {q_mode}",))
 
     run.method_tag = "qpsc"

@@ -96,3 +96,22 @@ def seeded_ward(seed, m=8, k=3, voters=200, stop=0.3):
                 break
         counts[tuple(ranking)] = counts.get(tuple(ranking), 0) + 1
     return make_election([f"c{i}" for i in range(m)], sorted(counts.items()), k)
+
+
+def assert_same_count(got, want):
+    """Two tabulations agree on the winners and on every exact log entry."""
+    assert got.winners == want.winners
+    assert got.log.method == want.log.method
+    assert got.log.quota == want.log.quota
+    assert got.log.tie_events == want.log.tie_events
+    assert got.log.notes == want.log.notes
+    assert len(got.log.rounds) == len(want.log.rounds)
+    for mine, theirs in zip(got.log.rounds, want.log.rounds):
+        where = f"round {theirs.number}"
+        assert mine.number == theirs.number, where
+        assert mine.totals == theirs.totals, where
+        assert mine.quota == theirs.quota, where
+        assert mine.exhausted == theirs.exhausted, where
+        assert mine.keep_factors == theirs.keep_factors, where
+        assert mine.events == theirs.events, where
+        assert mine.threshold == theirs.threshold, where

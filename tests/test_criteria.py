@@ -39,7 +39,9 @@ from blocaudit.criteria import ProbeSession
 from blocaudit.methods import AUDIT_METHODS, CCScores, WinnerSet
 from blocaudit.profiles import BallotSelection, selection_ranked_union
 from cc_reference import reference_cc
-from conftest import EAST_AYRSHIRE, random_profile, seeded_ward
+from conftest import (
+    EAST_AYRSHIRE, assert_same_count, random_profile, seeded_ward,
+)
 
 # ----------------------------------------------------------------- checks
 
@@ -686,6 +688,51 @@ def test_session_count_probes_match_tabulating_the_reduced_election(
                 shrunk += max(len(bt.ranking) for bt in reduced.ballots) < longest
                 single += reduced.total_ballots == 1
     assert probes > 1000 and tied and shrunk and single
+
+
+def shared_prefix_removal(profile):
+    """Every other type of the widest first-preference range, emptied.
+
+    The types ranking one candidate first are one index range; this empties
+    every second type inside the widest such range, so live and emptied
+    types alternate within a range that shares a prefix.
+    """
+    by_first = {}
+    for t, bt in enumerate(profile.ballots):
+        by_first.setdefault(bt.ranking[0], []).append(t)
+    widest = max(by_first.values(), key=len)
+    return BallotSelection(tuple(
+        (t, profile.ballots[t].multiplicity) for t in widest[1::2]
+    ))
+
+
+@pytest.mark.parametrize("tag", ["scottish", "meek", "ear"])
+def test_session_count_logs_match_tabulating_the_reduced_election(
+    east_ayrshire, north_ayrshire, tag
+):
+    # the count a probe runs, at the source multiplicities less the removal,
+    # builds the reduced election's whole round log when asked for it
+    rng = random.Random(6502)
+    elections = [east_ayrshire, north_ayrshire, seeded_ward(2024, m=7, voters=150)]
+    kinds = Counter()
+    for election in elections:
+        profile, k = election.profile, election.k
+        longest = max(len(bt.ranking) for bt in profile.ballots)
+        removals = probe_removals(rng, profile, 2)
+        removals.append(shared_prefix_removal(profile))
+        for selection in removals:
+            mults = list(profile.multiplicities)
+            for t, n in selection.entries:
+                mults[t] -= n
+            reduced = remove_ballots(profile, selection)
+            assert_same_count(
+                methods.COUNTS[tag](profile, mults, k, log=True),
+                tabulate(Election(reduced, k), tag),
+            )
+            kinds["shared prefix"] += selection == removals[-1]
+            kinds["longest"] += max(len(bt.ranking) for bt in reduced.ballots) < longest
+            kinds["single"] += reduced.total_ballots == 1
+    assert min(kinds[kind] for kind in ("shared prefix", "longest", "single")) >= 3
 
 
 @pytest.mark.parametrize("tag", ["scottish", "meek", "ear"])

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,9 @@ import blocaudit.rationals as rationals
 from blocaudit.methods import TieEvent
 from blocaudit.rationals import ONE, ZERO, rational
 from cc_reference import reference_cc
-from conftest import assert_rounds_match, random_profile, round1, seeded_ward
+from conftest import (
+    assert_rounds_match, assert_same_count, random_profile, round1, seeded_ward,
+)
 from ear_reference import reference_ear
 from meek_reference import reference_meek_stv
 from scottish_reference import reference_scottish
@@ -180,6 +183,44 @@ def test_tie_paths_log_the_exact_event(case):
     assert log.tie_events == ties
     assert winners.members == members
     assert winners.tie_flag is flag
+
+
+def sorted_take_first(candidates, n, value, kind, round_number, tie_events):
+    """_take_first by its definition: sort best first, cut after n."""
+    order = sorted(candidates, key=lambda c: (-value(c), c))
+    chosen = order[:n]
+    if n < len(order) and value(order[n]) == value(order[n - 1]):
+        cut = value(order[n - 1])
+        tied = tuple(c for c in order if value(c) == cut)
+        taken = tuple(c for c in chosen if value(c) == cut)
+        tie_events.append(TieEvent(round_number, kind, tied, taken))
+    return chosen
+
+
+def test_take_first_matches_sorting_every_candidate():
+    # few distinct values, so ties at the cut are common; the candidates
+    # come as a set, as the counts pass their hopefuls, or in any order
+    rng = random.Random(5150)
+    ties = Counter()
+    for _ in range(3000):
+        m = rng.randint(0, 7)
+        values = {c: rng.randint(-2, 2) for c in rng.sample(range(12), m)}
+        pool = list(values)
+        rng.shuffle(pool)
+        candidates = set(pool) if rng.random() < 0.5 else pool
+        n = rng.randint(1, m + 2)
+        got, want = [], []
+        taken = methods._take_first(
+            candidates, n, values.__getitem__, "election", 3, got
+        )
+        assert taken == sorted_take_first(
+            pool, n, values.__getitem__, "election", 3, want
+        )
+        assert got == want
+        ties["one" if n == 1 else "several"] += bool(want)
+        ties["empty"] += not pool
+        ties["all"] += n >= len(pool)
+    assert min(ties.values()) > 50
 
 
 def test_scottish_all_remaining_fill_seats():
@@ -330,25 +371,6 @@ def test_meek_conservation(east_ayrshire):
     assert sum(final.totals.values(), ZERO) + final.exhausted == v
 
 
-def assert_same_count(got, want):
-    """Two tabulations agree on the winners and on every exact log entry."""
-    assert got.winners == want.winners
-    assert got.log.method == want.log.method
-    assert got.log.quota == want.log.quota
-    assert got.log.tie_events == want.log.tie_events
-    assert got.log.notes == want.log.notes
-    assert len(got.log.rounds) == len(want.log.rounds)
-    for mine, theirs in zip(got.log.rounds, want.log.rounds):
-        where = f"round {theirs.number}"
-        assert mine.number == theirs.number, where
-        assert mine.totals == theirs.totals, where
-        assert mine.quota == theirs.quota, where
-        assert mine.exhausted == theirs.exhausted, where
-        assert mine.keep_factors == theirs.keep_factors, where
-        assert mine.events == theirs.events, where
-        assert mine.threshold == theirs.threshold, where
-
-
 def meek_at(election, tolerance):
     """Meek at tolerance, or through tabulate at its default when None."""
     if tolerance is None:
@@ -412,11 +434,13 @@ def test_meek_round_logs_match_rational_reference_on_long_counts():
 
 
 def test_meek_fixed_and_flowing_paths_match_rational_reference():
-    # Between two regroups the count sums each fixed path's weight once: an
-    # empty path (every candidate it ranks eliminated) exhausts all of it,
-    # and a path of one candidate with keep factor 1 gives them all of it.
-    # The other paths flow every iteration, among them a path ending at an
-    # elected candidate whose keep factor is below 1, the rest exhausting.
+    # A path without elected candidates lands in one slot every iteration,
+    # and the count sums its weight once per election or elimination: a
+    # path whose candidates are all eliminated exhausts all of it, and one
+    # ending at a hopeful gives them all of it. A path through elected
+    # candidates flows every iteration, each taking their keep factor of
+    # what reaches them, among them an elected candidate ranked last, whose
+    # remainder exhausts.
     empty = make_election(
         list("abcde"),
         [((0,), 10), ((1,), 8), ((2, 1), 7), ((3,), 3), ((4, 3), 2), ((4,), 2)],
@@ -446,6 +470,43 @@ def test_meek_fixed_and_flowing_paths_match_rational_reference():
         for k in (2, 3):
             election = seeded_ward(seed, m=7, k=k, voters=150, stop=0.5)
             assert_same_count(meek_stv(election), reference_meek_stv(election))
+
+
+def test_meek_candidates_ranking_each_other_elected_together():
+    # a and b each reach the quota on first preferences in round 1 and rank
+    # each other second, so each one's surplus flows through the other, also
+    # elected, on to c or d; both must be elected before any path moves
+    election = make_election(
+        list("abcde"),
+        [((0, 1, 2), 30), ((1, 0, 3), 30), ((2,), 12), ((3,), 11),
+         ((4, 2), 10)],
+        3,
+    )
+    got = meek_stv(election)
+    first = got.log.rounds[0]
+    assert [ev.candidate for ev in first.events if ev.kind == "elected"] == [0, 1]
+    assert len(got.log.rounds) > 2
+    assert_same_count(got, reference_meek_stv(election))
+
+
+def buildable(family, k):
+    try:
+        generate(GeneratorSpec(family, k))
+    except PreconditionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("family, k", [
+    (family, k) for family in FAMILIES for k in (2, 3, 4, 5) if buildable(family, k)
+])
+def test_meek_round_logs_match_rational_reference_on_worst_cases(family, k):
+    case = generate(GeneratorSpec(family, k))
+    reduced = Election(
+        remove_ballots(case.election.profile, case.removal), case.election.k
+    )
+    for election in (case.election, reduced):
+        assert_same_count(tabulate(election, "meek"), reference_meek_stv(election))
 
 
 # North Ayrshire's Meek count runs 42 keep-factor iterations in all

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from blocaudit import (
@@ -177,3 +179,43 @@ def test_make_election_parties_and_title():
     )
     assert [c.party for c in election.profile.candidates] == ["P1", "P2", "IND"]
     assert election.title == "Ward"
+
+
+def prefix_nodes(node, prefix=()):
+    """Every (prefix, node) of a prefix tree, the root first."""
+    yield prefix, node
+    for c, _, _, child in node[1]:
+        yield from prefix_nodes(child, prefix + (c,))
+
+
+def test_prefix_tree_matches_brute_force():
+    # each node's range holds exactly the types whose rankings start with
+    # its prefix, its stop is the type ranking the prefix alone, and its
+    # children split the rest by the next candidate, in id order
+    rng = random.Random(8086)
+    for _ in range(300):
+        m = rng.randint(1, 6)
+        ballots = {}
+        for _ in range(rng.randint(1, 25)):
+            ranking = tuple(rng.sample(range(m), rng.randint(1, m)))
+            ballots[ranking] = rng.randint(1, 5)
+        profile = make_election(
+            [f"c{i}" for i in range(m + 1)], ballots.items(), 1
+        ).profile
+        rankings = [bt.ranking for bt in profile.ballots]
+        longest, root = profile.prefix_tree
+        assert longest == max(map(len, rankings))
+        nodes = 0
+        ranges = {(): (0, len(rankings))}
+        for prefix, (stop, children) in prefix_nodes(root):
+            nodes += 1
+            d = len(prefix)
+            lo, hi = ranges[prefix]
+            holding = [t for t, r in enumerate(rankings) if r[:d] == prefix]
+            assert holding == list(range(lo, hi))
+            assert stop == next((t for t in holding if rankings[t] == prefix), None)
+            following = sorted({rankings[t][d] for t in holding if len(rankings[t]) > d})
+            assert [c for c, _, _, _ in children] == following
+            for c, clo, chi, _ in children:
+                ranges[prefix + (c,)] = (clo, chi)
+        assert nodes == 1 + len({r[:d] for r in rankings for d in range(1, len(r) + 1)})
