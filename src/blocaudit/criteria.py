@@ -26,11 +26,11 @@ session scores every audit rule's removals from its own arrays and builds
 no reduced profile: Scottish, Meek and EAR by running the rule's count
 (methods.COUNTS) over the source multiplicities less the removal, without
 a round log, and Chamberlin-Courant by difference (methods.CCScores). The
-removal pools, their graded fractions, the ranked unions and the transfer
-orders are memoised on the profile, so the sessions of every rule over one
-election build each once. A rule whose base count is tie-flagged is not
-searched, nor are the pairs of criterion and rule that PROVEN_IMMUNE proves
-clean.
+graded fractions of each removal pool, each with its ranked union, and the
+transfer orders are memoised on the profile, so the sessions of every rule
+over one election build each once. A rule whose base count is tie-flagged
+is not searched, nor are the pairs of criterion and rule that PROVEN_IMMUNE
+proves clean.
 
 Every reported record is the one a fresh call to the public check_*
 returns, never built from the probes; a search sets only its party_swap
@@ -39,8 +39,9 @@ tabulations come from the session's verification memo: one logged
 tabulate of the election per session, made the first time a record needs
 it, and one of the election less each distinct removal found
 (remove_ballots). Outside that memo only the session's base count
-tabulates. oracle_ilvb applies check_ilvb to every loser-only removal of a
-small instance and is the ground truth the heuristics are tested against.
+tabulates. oracle_ilvb applies the ILVB check's computation, base tabulated
+once, to every loser-only removal of a small instance and is the ground
+truth the heuristics are tested against.
 verify_record is record_to_json's inverse: it rebuilds a JSON record and
 says whether the public check returns that record, whole.
 """
@@ -165,11 +166,11 @@ class ProbeSession:
     The main memo maps each removed BallotSelection to the winner set that is
     left, so every search sharing the session scores a removal once, however
     many criteria and pools probe it. The graded fractions of each removal
-    pool (by allowed candidate set and sigma), the ranked union of each
-    probed removal and the transfer orders (by winners and target pair) are
-    memoised on the profile (removal_pools, removal_fractions, ranked_unions,
-    transfer_orders), so the sessions of every rule over one election build
-    each of them once. The searches read nothing else.
+    pool (by allowed candidate set and sigma), each carrying its ranked
+    union, and the transfer orders (by winners and target pair) are
+    memoised on the profile (removal_fractions, transfer_orders), so the
+    sessions of every rule over one election build each of them once. The
+    searches read nothing else.
 
     No audit rule tabulates a reduced election to probe it. For "scottish",
     "meek" and "ear" the session keeps the source profile's multiplicities
@@ -227,8 +228,9 @@ class ProbeSession:
 
     def fractions(
         self, allowed: frozenset[int], sigma: int
-    ) -> tuple[BallotSelection, ...]:
-        """Graded parts i/sigma, i = 1..sigma, of all ballots ranking only allowed.
+    ) -> tuple[tuple[BallotSelection, frozenset[int]], ...]:
+        """Graded parts i/sigma, i = 1..sigma, of all ballots ranking only
+        allowed, each with every candidate its ballots rank.
 
         Empty and repeated parts are dropped, and so is a part holding every
         ballot; the rest keep the order of i.
@@ -237,23 +239,14 @@ class ProbeSession:
         parts = profile.removal_fractions.get((allowed, sigma))
         if parts is None:
             total = profile.total_ballots
-            pool = profile.removal_pools.get(allowed)
-            if pool is None:
-                pool = ballots_ranking_only(profile, allowed)
-                profile.removal_pools[allowed] = pool
+            pool = ballots_ranking_only(profile, allowed)
             graded = (fraction_of(pool, i, sigma) for i in range(1, sigma + 1))
-            parts = tuple(dict.fromkeys(p for p in graded if p and p.total < total))
+            parts = tuple(
+                (part, selection_ranked_union(profile, part))
+                for part in dict.fromkeys(p for p in graded if p and p.total < total)
+            )
             profile.removal_fractions[(allowed, sigma)] = parts
         return parts
-
-    def ranked_union(self, selection: BallotSelection) -> frozenset[int]:
-        """Every candidate ranked by at least one ballot of the selection."""
-        profile = self.election.profile
-        ranked = profile.ranked_unions.get(selection)
-        if ranked is None:
-            ranked = selection_ranked_union(profile, selection)
-            profile.ranked_unions[selection] = ranked
-        return ranked
 
     def transfer_order(self, a: int, b: int) -> list[int]:
         """_transfer_order(A, B) over the winners other than A."""
@@ -540,8 +533,7 @@ def _search(
                 allowed -= blocked
                 if not allowed:
                     continue
-                for selection in session.fractions(allowed, sigma):
-                    ranked = session.ranked_union(selection)
+                for selection, ranked in session.fractions(allowed, sigma):
                     after = session.winners_after(selection)
                     if not spec.hit(winners, ranked, after.members):
                         continue
@@ -641,12 +633,14 @@ def oracle_ilvb(
     The search space is the product over loser-only ballot types of
     (multiplicity + 1) removal counts; if that exceeds max_budget the call
     refuses up front rather than running partially. Every vector but the one
-    removing all ballots goes through check_ilvb, and its records are
-    returned as they are.
+    removing all ballots goes through the ILVB check's computation, base
+    tabulated once: the records are check_ilvb's, but the election itself is
+    tabulated once for all vectors, and only the election less each vector
+    afresh.
     """
     profile = election.profile
-    winners = _run(method, election).winners.members
-    losers = frozenset(range(profile.m)) - winners
+    before = _run(method, election).winners
+    losers = frozenset(range(profile.m)) - before.members
     loser_types = ballots_ranking_only(profile, losers).entries
     budget = 1
     for _, mult in loser_types:
@@ -657,13 +651,21 @@ def oracle_ilvb(
                 f"{len(loser_types)} loser-only ballot types, over the "
                 f"budget of {max_budget}"
             )
+
+    def winners(selection: BallotSelection | None) -> WinnerSet:
+        if selection is None:
+            return before
+        return _tabulated_winners(election, method, selection)
+
     found = []
     for counts in product(*(range(mult + 1) for _, mult in loser_types)):
         entries = tuple(
             (idx, c) for (idx, _), c in zip(loser_types, counts) if c > 0
         )
         if entries and sum(counts) < profile.total_ballots:
-            record = check_ilvb(election, method, BallotSelection(entries))
+            record = _check(
+                "ILVB", election, method, BallotSelection(entries), winners
+            )
             if record is not None:
                 found.append(record)
     return found

@@ -415,10 +415,8 @@ def _meek_count(
     canonical order, so the types that share a ranking prefix are one index
     range (PreferenceProfile.prefix_tree), and a path holds such ranges,
     each weighing a difference of one prefix sum of the multiplicities.
-    Types that share a path are summed into one weight. Round 1 sends every
-    ballot to its first preference, so the paths are first walked at the
-    first election or elimination, and a count that fills every seat in
-    round 1 walks none.
+    Types that share a path are summed into one weight. Every path starts
+    at its type's first preference.
 
     Scale. A path of n ballots starts at weight n*S, S = D**P, P = min(L,
     k - 1), with L the longest ranking of any of the profile's types. While
@@ -461,16 +459,14 @@ def _meek_count(
     won: set[int] = set()
     keep = [D] * m
     cum = list(itertools.accumulate(mults, initial=0))
-    # Round 1 sends every ballot to its first preference.
-    start = [0] * (m + 1)
-    for c, lo, hi, _ in root[1]:
-        start[c] = (cum[hi] - cum[lo]) * scale
-    flowing: list = []
     # partials -> end -> weight in ballots, end m for exhaustion, and for
-    # each hopeful the (partials, node) pairs whose paths end at them; both
-    # are built at the first election or elimination
+    # each hopeful the (partials, node) pairs whose paths end at them
     paths: dict[tuple[int, ...], dict[int, int]] = {}
     ending: dict[int, list[tuple[tuple[int, ...], tuple]]] = {}
+    # the weights at scale of the paths without partials, by end, and the
+    # paths with partials; move rebuilds both from paths
+    start: list[int]
+    flowing: list
 
     def walk(partials: tuple[int, ...], node: tuple) -> None:
         """Add the paths of a node's types, from past its prefix on."""
@@ -495,21 +491,15 @@ def _meek_count(
         """Walk on the paths that end at the candidates just elected or
         eliminated, then rebuild start and flowing."""
         nonlocal start, flowing
-        if not paths:
-            # the first change: the changed candidates are the only ones
-            # not hopeful, so one walk from the root finds every path
-            walk((), root)
-        else:
-            moved = [(c, ending.pop(c, ())) for c in changed]
-            for c, pairs in moved:
-                for partials, _ in pairs:
-                    ends = paths.get(partials)
-                    if ends and ends.pop(c, None) is not None and not ends:
-                        del paths[partials]
-            for c, pairs in moved:
-                grown = c in won
-                for partials, node in pairs:
-                    walk(partials + (c,) if grown else partials, node)
+        for c in changed:
+            grown = c in won
+            for partials, node in ending.pop(c, ()):
+                # several pairs can share partials, so an earlier pair may
+                # have popped c from their ends and deleted the emptied ends
+                ends = paths.get(partials)
+                if ends and ends.pop(c, None) is not None and not ends:
+                    del paths[partials]
+                walk(partials + (c,) if grown else partials, node)
         start = [0] * (m + 1)
         flowing = []
         for partials, ends in paths.items():
@@ -518,6 +508,11 @@ def _meek_count(
             else:
                 for end, n in ends.items():
                     start[end] = n * scale
+
+    # every candidate is hopeful, so the walk stops at the root's children;
+    # move builds start and flowing from the paths it finds
+    walk((), root)
+    move([])
 
     elected: list[int] = []
     rounds: list[Round] | None = [] if log else None

@@ -166,22 +166,15 @@ class PreferenceProfile:
 
         return max(map(len, rankings)), node(0, len(rankings), 0)
 
-    # Memos of the removal searches (criteria.ProbeSession fills them), kept
-    # here so that the searches of every rule over this profile share them.
-
-    @cached_property
-    def removal_pools(self) -> dict:
-        """Allowed candidate set -> every ballot ranking only those candidates."""
-        return {}
+    # The two memos of the removal searches (criteria.ProbeSession fills
+    # them): the graded removal fractions, each with its ranked union, and
+    # the transfer orders. They are kept here so that the searches of every
+    # rule over this profile share them.
 
     @cached_property
     def removal_fractions(self) -> dict:
-        """(allowed candidate set, sigma) -> the graded parts of its pool probed."""
-        return {}
-
-    @cached_property
-    def ranked_unions(self) -> dict:
-        """BallotSelection -> every candidate its ballots rank."""
+        """(allowed candidate set, sigma) -> the graded parts of its pool
+        probed, each with every candidate its ballots rank."""
         return {}
 
     @cached_property

@@ -350,9 +350,9 @@ def test_search_rejects_session_of_another_election_or_rule(
 
 
 def test_session_builds_each_pool_and_order_once(monkeypatch):
-    # The pools live on the profile, so the sessions of all five rules over
-    # one election share them. A fresh load keeps pools built by other tests
-    # out of the counts.
+    # The graded fractions and their ranked unions live on the profile, so
+    # the sessions of all five rules over one election share them. A fresh
+    # load keeps fractions built by other tests out of the counts.
     election = load_election(EAST_AYRSHIRE)
     pools, orders = Counter(), Counter()
     fractions, unions = Counter(), Counter()
@@ -394,8 +394,18 @@ def test_session_builds_each_pool_and_order_once(monkeypatch):
             search_party_swaps(election, method, criterion=criterion,
                                session=session)
     assert pools and orders and fractions and unions
-    assert max(pools.values()) == max(orders.values()) == 1
-    assert max(fractions.values()) == max(unions.values()) == 1
+    # each (allowed, sigma) list is built once: one pool, and one ranked
+    # union per entry, so a pool probed at sigma_l and sigma_w is built twice
+    built = election.profile.removal_fractions
+    assert pools == Counter(allowed for allowed, _ in built)
+    assert unions == Counter(
+        selection for parts in built.values() for selection, _ in parts
+    )
+    assert max(pools.values()) == 2
+    assert max(orders.values()) == max(fractions.values()) == 1
+    for parts in built.values():
+        for selection, ranked in parts:
+            assert ranked == real_union(election.profile, selection)
     # the rules' winners differ, and each winner set has its own orders
     assert len(winner_sets) > 1
     assert {
@@ -706,6 +716,22 @@ def shared_prefix_removal(profile):
     ))
 
 
+def first_preference_removal(profile):
+    """Every type whose first preference is the least first-preferred candidate.
+
+    Meek's first walk then meets that candidate as a root child with no
+    ballots left.
+    """
+    firsts = Counter()
+    for bt in profile.ballots:
+        firsts[bt.ranking[0]] += bt.multiplicity
+    least = min(firsts, key=lambda c: (firsts[c], c))
+    return BallotSelection(tuple(
+        (t, bt.multiplicity) for t, bt in enumerate(profile.ballots)
+        if bt.ranking[0] == least
+    ))
+
+
 @pytest.mark.parametrize("tag", ["scottish", "meek", "ear"])
 def test_session_count_logs_match_tabulating_the_reduced_election(
     east_ayrshire, north_ayrshire, tag
@@ -720,6 +746,7 @@ def test_session_count_logs_match_tabulating_the_reduced_election(
         longest = max(len(bt.ranking) for bt in profile.ballots)
         removals = probe_removals(rng, profile, 2)
         removals.append(shared_prefix_removal(profile))
+        removals.append(first_preference_removal(profile))
         for selection in removals:
             mults = list(profile.multiplicities)
             for t, n in selection.entries:
@@ -729,10 +756,14 @@ def test_session_count_logs_match_tabulating_the_reduced_election(
                 methods.COUNTS[tag](profile, mults, k, log=True),
                 tabulate(Election(reduced, k), tag),
             )
-            kinds["shared prefix"] += selection == removals[-1]
+            kinds["shared prefix"] += selection == removals[-2]
+            kinds["first preference"] += selection == removals[-1]
             kinds["longest"] += max(len(bt.ranking) for bt in reduced.ballots) < longest
             kinds["single"] += reduced.total_ballots == 1
-    assert min(kinds[kind] for kind in ("shared prefix", "longest", "single")) >= 3
+    assert min(
+        kinds[kind]
+        for kind in ("shared prefix", "first preference", "longest", "single")
+    ) >= 3
 
 
 @pytest.mark.parametrize("tag", ["scottish", "meek", "ear"])
@@ -789,6 +820,35 @@ def test_oracle_contains_heuristic_findings():
     assert heuristic
     for record in heuristic:
         assert record in oracle
+
+
+def test_oracle_ilvb_tabulates_the_base_once(monkeypatch):
+    # one tabulation of the election, and one of the election less each
+    # removal vector; the records are check_ilvb's for those vectors
+    election = generate(GeneratorSpec("STV_ILVB", 2)).election
+    profile = election.profile
+    winners = tabulate(election, "scottish").winners.members
+    losers = frozenset(range(profile.m)) - winners
+    loser_types = criteria.ballots_ranking_only(profile, losers).entries
+    vectors = [
+        BallotSelection(tuple(zip((t for t, _ in loser_types), counts)))
+        for counts in product(*(range(n + 1) for _, n in loser_types))
+    ]
+    vectors = [v for v in vectors if v and v.total < profile.total_ballots]
+    calls = []
+    real_tabulate = criteria.tabulate
+
+    def counting_tabulate(election, method, **kwargs):
+        calls.append(method)
+        return real_tabulate(election, method, **kwargs)
+
+    monkeypatch.setattr(criteria, "tabulate", counting_tabulate)
+    records = oracle_ilvb(election, "scottish")
+    assert len(calls) == 1 + len(vectors) == 9
+    monkeypatch.undo()
+    checked = [check_ilvb(election, "scottish", v) for v in vectors]
+    assert records == [record for record in checked if record is not None]
+    assert records
 
 
 def test_oracle_budget_refusal(east_ayrshire):

@@ -466,6 +466,24 @@ def test_meek_fixed_and_flowing_paths_match_rational_reference():
                for bt in ends_elected.profile.ballots)
     assert_same_count(got, reference_meek_stv(ends_elected))
 
+    # several paths to one candidate share their partials, so moving them
+    # meets partials whose ends an earlier path already emptied
+    shared_partials = make_election(
+        list("abcdefg"),
+        [((0, 1, 2), 13), ((0, 3, 4, 1, 2), 2), ((1, 2), 1), ((2, 0, 1, 3, 4), 1),
+         ((2, 0, 4), 40), ((2, 1, 3, 4, 0, 6), 40), ((2, 3, 0, 1), 3),
+         ((2, 5, 0, 3, 4, 1, 6), 1), ((2, 6, 5, 3), 100), ((3, 0, 6, 2, 4, 1, 5), 1),
+         ((3, 2, 4), 5), ((3, 5, 4, 2, 1, 0, 6), 40), ((4, 0), 5), ((4, 0, 1), 1),
+         ((4, 2, 5), 40), ((4, 6), 3), ((5, 6, 3, 1, 4, 0), 3),
+         ((6, 2, 3, 4, 1, 0, 5), 5), ((6, 2, 5, 1, 3), 8), ((6, 5), 1),
+         ((6, 5, 2, 1, 3, 4, 0), 2)],
+        4,
+    )
+    got = meek_stv(shared_partials)
+    assert got.winners.members == {2, 3, 4, 6}
+    assert len(got.log.rounds) == 43
+    assert_same_count(got, reference_meek_stv(shared_partials))
+
     for seed in (3, 41, 977):
         for k in (2, 3):
             election = seeded_ward(seed, m=7, k=k, voters=150, stop=0.5)
