@@ -144,19 +144,15 @@ def _run(method: MethodLike, election: Election) -> TabulationResult:
     return method(election)
 
 
-def _without(election: Election, selection: BallotSelection) -> Election:
-    return Election(
-        remove_ballots(election.profile, selection), election.k, election.title
-    )
-
-
 def _tabulated_winners(
     election: Election, method: MethodLike, selection: BallotSelection | None
 ) -> WinnerSet:
     """The winners of a fresh tabulation: of the election when selection is
     None, else of the election less the selection."""
     if selection is not None:
-        election = _without(election, selection)
+        election = Election(
+            remove_ballots(election.profile, selection), election.k, election.title
+        )
     return _run(method, election).winners
 
 
@@ -214,7 +210,7 @@ class ProbeSession:
                     mults[t] -= removed
                 winners = self._count(profile, mults, self.election.k).winners
             else:
-                winners = _run(self.method, _without(self.election, selection)).winners
+                winners = _tabulated_winners(self.election, self.method, selection)
             self._memo[selection] = winners
         return winners
 
@@ -262,24 +258,7 @@ class ProbeSession:
 # ------------------------------------------------------------ the criteria
 
 
-def _require_losers(ranked: frozenset[int], winners: frozenset[int]) -> None:
-    offenders = ranked & winners
-    if offenders:
-        raise PreconditionError(
-            f"ILVB removals must rank only losers; selection ranks winner(s) "
-            f"{sorted(offenders)}"
-        )
-
-
-def _require_winner_subset(ranked: frozenset[int], winners: frozenset[int]) -> None:
-    if not ranked <= winners or ranked == winners:
-        raise PreconditionError(
-            "IWVB removals must rank only a proper subset of the winners; "
-            f"selection ranks {sorted(ranked)} against winners {sorted(winners)}"
-        )
-
-
-def _loser_pools(session: ProbeSession, a: int | None, b: int) -> list[frozenset[int]]:
+def _loser_pools(session: ProbeSession, a: int, b: int) -> list[frozenset[int]]:
     """Losers other than the target loser B; A plays no part."""
     return [session.losers - {b}]
 
@@ -293,44 +272,44 @@ def _prefix_pools(session: ProbeSession, a: int, b: int) -> list[frozenset[int]]
 class Criterion(NamedTuple):
     """One removal criterion, as the checks and the searches both read it.
 
-    require raises PreconditionError unless a removal whose ballots rank the
-    candidates `ranked` is one the criterion speaks about; hit(winners,
-    ranked, after) says whether the winner set `after` left by that removal
-    violates it. displaces marks the criteria whose searches range a winner
-    A to displace over the winners; the others search with A = None.
-    pools(session, A, B) gives the candidate sets whose ballots the searches
-    remove, each probed at getattr(params, sigma) graded fractions.
+    admits(ranked, winners) says whether a removal whose ballots rank the
+    candidates `ranked` is in the criterion's removal space, which the
+    phrase `ranks` names ("only losers"); hit(winners, ranked, after) says
+    whether the winner set `after` left by that removal violates it.
+    pools(session, A, B) gives the candidate sets in that space whose
+    ballots the searches remove for a winner A and a loser B, each probed
+    at getattr(params, sigma) graded fractions.
     """
 
-    require: Callable[[frozenset[int], frozenset[int]], None]
+    admits: Callable[[frozenset[int], frozenset[int]], bool]
+    ranks: str
     hit: Callable[[frozenset[int], frozenset[int], frozenset[int]], bool]
-    displaces: bool
-    pools: Callable[[ProbeSession, int | None, int], list[frozenset[int]]]
+    pools: Callable[[ProbeSession, int, int], list[frozenset[int]]]
     sigma: str
 
 
 CRITERION_TABLE = {
     # The winner set changes at all.
     "ILVB": Criterion(
-        _require_losers,
+        lambda ranked, winners: not ranked & winners,
+        "only losers",
         lambda winners, ranked, after: after != winners,
-        False,
         _loser_pools,
         "sigma_l",
     ),
     # A winner the removed ballots did not rank loses their seat.
     "IWVB": Criterion(
-        _require_winner_subset,
+        lambda ranked, winners: ranked < winners,
+        "only a proper subset of the winners",
         lambda winners, ranked, after: bool((winners - ranked) - after),
-        True,
         _prefix_pools,
         "sigma_w",
     ),
     # Every ranked candidate keeps a seat, yet the committee changes.
     "IWVB_STAR": Criterion(
-        _require_winner_subset,
+        lambda ranked, winners: ranked < winners,
+        "only a proper subset of the winners",
         lambda winners, ranked, after: ranked <= after and after != winners,
-        True,
         _prefix_pools,
         "sigma_w",
     ),
@@ -370,7 +349,11 @@ def _check(
     spec = CRITERION_TABLE[criterion]
     before = winners(None)
     ranked = selection_ranked_union(election.profile, selection)
-    spec.require(ranked, before.members)
+    if not spec.admits(ranked, before.members):
+        raise PreconditionError(
+            f"{criterion} removals must rank {spec.ranks}; selection ranks "
+            f"{sorted(ranked)} against winners {sorted(before.members)}"
+        )
     after = winners(selection)
     if not spec.hit(before.members, ranked, after.members):
         return None
@@ -496,12 +479,14 @@ def _search(
 
     A (criterion, rule tag) pair in PROVEN_IMMUNE is not probed, and neither
     is a tie-flagged base count: the searches drop every result touching a
-    tie-flagged tabulation, so none could be reported. Without party_swaps,
-    A ranges over the winners when the criterion's displaces is set and is
-    None otherwise. With party_swaps, A and B come from different parties,
-    each pool drops both parties' candidates, and a hit counts only when it
-    moves one seat from A's party to B's. Each removal found is reported
-    once, in the order first found.
+    tie-flagged tabulation, so none could be reported. A ranges over the
+    winners and B over the losers. With party_swaps, A and B come from
+    different parties, each pool drops both parties' candidates, and a hit
+    counts only when it moves one seat from A's party to B's. The targets
+    (A, B, pool) are listed first and each is probed once: keyed by the pool
+    alone, since the hit reads neither A nor B, or with party_swaps by
+    (pool, A, B). Each removal found is reported once, in the order first
+    found.
     """
     spec = CRITERION_TABLE[criterion]
     params = params or SearchParams()
@@ -520,9 +505,8 @@ def _search(
     sigma = getattr(params, spec.sigma)
     party = {c.id: c.party for c in profile.candidates}
     seats_before = Counter(party[c] for c in winners)
-    found: dict[BallotSelection, None] = {}  # an insertion-ordered set
-    to_displace = sorted(winners) if spec.displaces or party_swaps else [None]
-    for a in to_displace:
+    targets = {}  # key -> (A, B, pool), in the order first listed
+    for a in sorted(winners):
         for b in sorted(session.losers):
             blocked = frozenset()
             if party_swaps:
@@ -531,19 +515,22 @@ def _search(
                 blocked = {c for c, p in party.items() if p in (party[a], party[b])}
             for allowed in spec.pools(session, a, b):
                 allowed -= blocked
-                if not allowed:
-                    continue
-                for selection, ranked in session.fractions(allowed, sigma):
-                    after = session.winners_after(selection)
-                    if not spec.hit(winners, ranked, after.members):
-                        continue
-                    if party_swaps and not _moves_one_seat(
-                        party, seats_before, a, b, after.members
-                    ):
-                        continue
-                    if after.tie_flag:
-                        continue
-                    found[selection] = None
+                if allowed:
+                    key = (allowed, a, b) if party_swaps else allowed
+                    targets.setdefault(key, (a, b, allowed))
+    found: dict[BallotSelection, None] = {}  # an insertion-ordered set
+    for a, b, allowed in targets.values():
+        for selection, ranked in session.fractions(allowed, sigma):
+            after = session.winners_after(selection)
+            if not spec.hit(winners, ranked, after.members):
+                continue
+            if party_swaps and not _moves_one_seat(
+                party, seats_before, a, b, after.members
+            ):
+                continue
+            if after.tie_flag:
+                continue
+            found[selection] = None
     return _verified(session, criterion, found, party_swaps)
 
 
@@ -688,9 +675,12 @@ def _has_shape(doc, shape: dict) -> bool:
 
 def is_record(doc) -> bool:
     """Whether doc is a whole record: an object with every key of _RECORD_SHAPE,
-    each holding a value of its type, and each removed entry of _REMOVED_SHAPE."""
-    return _has_shape(doc, _RECORD_SHAPE) and all(
-        _has_shape(entry, _REMOVED_SHAPE) for entry in doc["removed"]
+    each holding a value of its type, each removed entry of _REMOVED_SHAPE,
+    and integers in both winner lists."""
+    return (
+        _has_shape(doc, _RECORD_SHAPE)
+        and all(_has_shape(entry, _REMOVED_SHAPE) for entry in doc["removed"])
+        and all(isinstance(c, int) for c in doc["winners_before"] + doc["winners_after"])
     )
 
 

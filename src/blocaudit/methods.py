@@ -602,12 +602,16 @@ def meek_stv(
     rational, default 1e-9) of quota. When no progress is possible the
     lowest hopeful is excluded. max_iterations caps the keep-factor
     iterations of the whole count, summed over every stage rather than per
-    stage; passing it raises MeekNonConvergenceError. A negative tolerance
+    stage; passing it raises MeekNonConvergenceError. A negative or inexact
+    tolerance (not a numbers.Rational, such as an int, a Fraction or an mpq)
     or a max_iterations below 1 raises PreconditionError.
     tabulate(election, "meek") runs the same count at the defaults.
     """
-    if tolerance < 0:
-        raise PreconditionError(f"Meek tolerance must be >= 0, got {tolerance}")
+    from numbers import Rational  # loaded already, by fractions
+    if not isinstance(tolerance, Rational) or tolerance < 0:
+        raise PreconditionError(
+            f"Meek tolerance must be an exact rational >= 0, got {tolerance!r}"
+        )
     if max_iterations < 1:
         raise PreconditionError(
             f"Meek max_iterations must be >= 1, got {max_iterations}"

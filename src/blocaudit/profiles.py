@@ -355,15 +355,20 @@ def selection_ballots(
 def selection_from_rankings(
     profile: PreferenceProfile, items: Iterable[tuple[Sequence[int], int]]
 ) -> BallotSelection:
-    """Build a selection from (ranking, count) pairs against this profile."""
+    """Build a selection from (ranking, count) pairs against this profile; a
+    ranking it lacks or listed twice, or a negative count, raises InputError."""
     by_ranking = {bt.ranking: i for i, bt in enumerate(profile.ballots)}
-    entries = []
+    entries = {}
     for ranking, count in items:
         key = tuple(ranking)
         if key not in by_ranking:
             raise InputError(f"profile has no ballot type with ranking {key}")
-        entries.append((by_ranking[key], count))
-    selection = BallotSelection(tuple(entries))
+        if count < 0:
+            raise InputError(f"negative count {count} for ranking {key}")
+        if by_ranking[key] in entries:
+            raise InputError(f"ranking {key} is listed twice")
+        entries[by_ranking[key]] = count
+    selection = BallotSelection(tuple(entries.items()))
     _validate_selection(profile, selection)
     return selection
 

@@ -856,6 +856,37 @@ def test_batch_record_that_cannot_be_rebuilt_fails_its_spot_check(tmp_path, caps
     assert summary.endswith("spot-checked 1, 1 failures")
 
 
+@pytest.mark.parametrize("edit, why", [
+    (lambda entry: [{**entry, "count": -1}], "negative count -1 for ranking (0,)"),
+    (lambda entry: [entry, entry], "ranking (0,) is listed twice"),
+], ids=["negative-count", "repeated-ranking"])
+def test_batch_record_with_a_malformed_removal_fails_its_spot_check(
+    tmp_path, capsys, edit, why
+):
+    # the first record's removal, edited to a count or a listing no
+    # selection can hold, fails the resumed run's spot check with a summary
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    shutil.copy(EAST_AYRSHIRE, corpus_dir / "ea.blt")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("methods=scottish\ncriteria=ilvb\n")
+    out_dir = tmp_path / "out"
+    argv = ["batch", str(corpus_dir), "--config", str(cfg), "--out", str(out_dir)]
+    assert run(capsys, *argv)[0] == 0
+    records = out_dir / "records.jsonl"
+    first, *rest = records.read_text().splitlines(keepends=True)
+    doc = json.loads(first)
+    assert doc["removed"][0]["ranking"] == [0]
+    doc["removed"] = edit(doc["removed"][0])
+    records.write_text(json.dumps(doc) + "\n" + "".join(rest))
+    code, _, err = run(capsys, *argv, "--resume")
+    assert code == 1
+    failed, summary = err.splitlines()
+    assert failed == f"spot-check FAILED: {doc}: InputError: {why}"
+    assert summary.startswith("audited 0 elections (1 skipped as done); 0 errored")
+    assert summary.endswith("spot-checked 1, 1 failures")
+
+
 def ascii_locale_env():
     """The environment of an ASCII locale without UTF-8 mode, for main in a
     subprocess; skips the test where that locale still prefers UTF-8."""

@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from itertools import product
 
 import pytest
@@ -411,6 +412,75 @@ def test_session_builds_each_pool_and_order_once(monkeypatch):
     assert {
         frozenset(committee) | {a} for committee, a, _ in orders
     } == winner_sets
+
+
+def probe_target_cases(east_ayrshire, north_ayrshire):
+    """(election, rule) for both wards under Scottish STV, and for every
+    buildable worst-case family at k = 2..5 under each of its audit rules."""
+    yield east_ayrshire, "scottish"
+    yield north_ayrshire, "scottish"
+    for family in FAMILIES:
+        for k in (2, 3, 4, 5):
+            try:
+                case = generate(GeneratorSpec(family, k))
+            except PreconditionError:
+                continue  # the family has no construction with k seats
+            for method in case.methods:
+                if method in AUDIT_METHODS:
+                    yield case.election, method
+
+
+def party_swap_targets(session, spec):
+    """How many (A, B) pairs of different parties have each pool, blocked."""
+    party = {c.id: c.party for c in session.election.profile.candidates}
+    targets = Counter()
+    for a, b in product(session.winners, session.losers):
+        if party[a] != party[b]:
+            blocked = {c for c, p in party.items() if p in (party[a], party[b])}
+            targets.update({pool - blocked for pool in spec.pools(session, a, b)})
+    return targets
+
+
+def test_each_search_probes_each_target_once(
+    east_ayrshire, north_ayrshire, monkeypatch
+):
+    # Within one search, the graded fractions of a pool are probed once, or
+    # with party swaps once per pair, and every fraction lies in the removal
+    # space of the searched criterion's row.
+    calls = Counter()
+    spec = None
+    real = ProbeSession.fractions
+
+    def counting(self, allowed, sigma):
+        calls[allowed, sigma] += 1
+        parts = real(self, allowed, sigma)
+        for _, ranked in parts:
+            assert spec.admits(ranked, self.winners), (allowed, ranked)
+        return parts
+
+    monkeypatch.setattr(ProbeSession, "fractions", counting)
+    monkeypatch.setattr(criteria, "PROVEN_IMMUNE", frozenset())
+    searches = {
+        "ILVB": search_ilvb,
+        "IWVB": search_iwvb,
+        "IWVB_STAR": partial(search_iwvb, star_mode=True),
+    }
+    probed = swapped = 0
+    for election, method in probe_target_cases(east_ayrshire, north_ayrshire):
+        session = ProbeSession(election, method)
+        for criterion, search in searches.items():
+            spec = criteria.CRITERION_TABLE[criterion]
+            calls.clear()
+            search(election, method, session=session)
+            assert max(calls.values(), default=0) <= 1, (election.title, criterion)
+            probed += len(calls)
+            calls.clear()
+            search_party_swaps(election, method, criterion=criterion, session=session)
+            targets = party_swap_targets(session, spec)
+            for (allowed, _), n in calls.items():
+                assert n <= targets[allowed], (election.title, criterion, allowed)
+            swapped += len(calls)
+    assert probed > 1000 and swapped > 100
 
 
 def cc_probed_session(election, tag):
@@ -893,8 +963,26 @@ def test_verify_record_refuses_a_document_that_is_not_a_whole_record(east_ayrshi
     retyped = [{**doc, key: None} for key in doc]
     entries = [{"ranking": [0]}, {"ranking": [0], "count": "22"}, [[0], 22]]
     removed = [{**doc, "removed": [entry]} for entry in entries]
-    for bad in (*cut, *retyped, *removed, [doc], "ea", {"election_id": "ea"}):
+    listed = [{**doc, key: [[1]]} for key in ("winners_before", "winners_after")]
+    for bad in (*cut, *retyped, *removed, *listed, [doc], "ea", {"election_id": "ea"}):
         assert not criteria.is_record(bad)
+        with pytest.raises(InputError):
+            verify_record(bad, east_ayrshire)
+
+
+def test_verify_record_refuses_a_removal_the_profile_cannot_hold(east_ayrshire):
+    # a whole record whose removal takes a negative count, or lists one
+    # ranking twice, is an input error like a ranking the profile lacks
+    record = search_ilvb(east_ayrshire, "scottish")[0]
+    doc = record_to_json(record, east_ayrshire.profile)
+    entry = doc["removed"][0]
+    for removed in (
+        [{**entry, "count": -1}],
+        [entry, entry],
+        [{**entry, "count": 1}, {**entry, "count": entry["count"] - 1}],
+    ):
+        bad = {**doc, "removed": removed}
+        assert criteria.is_record(bad)
         with pytest.raises(InputError):
             verify_record(bad, east_ayrshire)
 

@@ -580,13 +580,18 @@ def test_tabulate_refuses_settings_of_another_rule(east_ayrshire):
 
 
 def test_meek_refuses_invalid_settings_before_counting(east_ayrshire):
-    # a negative tolerance or an iteration cap below 1 is an input error, not
-    # a count that failed to converge
-    with pytest.raises(PreconditionError):
-        meek_stv(east_ayrshire, tolerance=rational(-1))
+    # a negative or inexact tolerance or an iteration cap below 1 is an input
+    # error, not a count that failed to converge; an int or a rational of
+    # the active backend still counts
+    for tolerance in (rational(-1), 1e-9, 0.0):
+        with pytest.raises(PreconditionError):
+            meek_stv(east_ayrshire, tolerance=tolerance)
     for cap in (0, -5):
         with pytest.raises(PreconditionError):
             meek_stv(east_ayrshire, max_iterations=cap)
+    want = tabulate(east_ayrshire, "meek").winners
+    for tolerance in (1, rational(1, 10**6)):
+        assert meek_stv(east_ayrshire, tolerance=tolerance).winners == want
 
 
 # --------------------------------------------------------------------- EAR
