@@ -233,11 +233,19 @@ def _eliminate_lowest(
     """Eliminate the hopeful with the lowest total and return them.
 
     totals is as for _elect_crossers. A tie goes to the lower id and is
-    recorded as an "elimination" tie.
+    recorded as an "elimination" tie, as _take_first records one.
     """
-    [out] = _take_first(
-        hopefuls, 1, lambda c: -totals[c], "elimination", number, tie_events,
-    )
+    tied: list[int] = []
+    for c in hopefuls:
+        v = totals[c]
+        if not tied or v < low:
+            low, tied = v, [c]
+        elif v == low:
+            tied.append(c)
+    if len(tied) > 1:
+        tied.sort()
+        tie_events.append(TieEvent(number, "elimination", tuple(tied), (tied[0],)))
+    out = tied[0]
     hopefuls.remove(out)
     if events is not None:
         events.append(RoundEvent("eliminated", out))
@@ -286,58 +294,61 @@ def _scottish_count(
     quota. Rounds snapshot totals before that round's action, matching the
     published votes-by-round layout.
 
-    The count adds integers, as EAR's does. Each ballot type's weight, every
-    total and the exhausted weight is an integer over one common denominator
-    den, which starts at 1, a type weighing its multiplicity. A candidate's
-    pile lists the ballot types they hold. A transfer at p/q (surplus/total
-    in lowest terms, or 1/1 for an elimination) multiplies den, every total,
-    every weight and the exhausted weight by q; each held type then weighs
-    w // q * p and goes to the first hopeful it ranks, or adds its weight
-    to the exhausted weight if it ranks none. That hopeful comes after the
-    holder, since every candidate a type ranks before its holder is
-    already elected or eliminated. Totals are compared with the quota as
-    total >= quota * den.
+    The count adds integers over one common denominator den, which starts
+    at 1, as EAR's does. A candidate's pile holds (f, children) items, one
+    per PreferenceProfile.prefix_tree node with children whose prefix ends
+    at that candidate: each ballot of the node's live types is worth f.
+    Types whose ranking ends at the candidate are in the total alone. A
+    transfer at p/q (surplus/total in lowest terms, or 1/1 for an
+    elimination) multiplies den, every total, the exhausted weight and the
+    f of every item still held by q, and the f of each moved item by p.
+    The moved nodes are walked on to their first hopeful children, through
+    the others, and what the transfer takes from the holder but brings to
+    no hopeful exhausts. First preferences are the walk from the root at
+    f = 1. These are the integers of a count that weighs each type alone,
+    at w // q * p after the multiply by q, which is w_old * p exactly:
+    types that share a prefix up to their holder moved together at every
+    transfer, so their weights stay in proportion to their multiplicities.
+    Totals are compared with the quota as total >= quota * den.
     """
     m = profile.m
     quota = droop_quota(sum(mults), k)
-    ballots = profile.ballots
+    cum = list(itertools.accumulate(mults, initial=0))
 
     hopefuls = set(range(m))
-    weight = list(mults)
-    piles: list[list[int]] = [[] for _ in range(m)]
+    piles: list[list[tuple[int, tuple]]] = [[] for _ in range(m)]
     totals = [0] * m
-    for t, n in enumerate(mults):
-        if n:
-            first = ballots[t].ranking[0]
-            piles[first].append(t)
-            totals[first] += n
     den = 1
     exhausted = 0
+
+    def spread(stack: list[tuple[int, tuple]]) -> int:
+        """Put the types of (f, children) items on the piles of the first
+        hopeful each ranks, emptying stack; return the weight added to the
+        hopefuls' totals."""
+        added = 0
+        while stack:
+            f, children = stack.pop()
+            for c, lo, hi, (_, below) in children:
+                n = cum[hi] - cum[lo]
+                if not n:
+                    continue
+                if c in hopefuls:
+                    w = f * n
+                    totals[c] += w
+                    added += w
+                    if below:
+                        piles[c].append((f, below))
+                elif below:
+                    stack.append((f, below))
+        return added
+
+    spread([(1, profile.prefix_tree[1][1])])
 
     elected: list[int] = []
     pending_surplus: list[int] = []
     rounds: list[Round] | None = [] if log else None
     tie_events: list[TieEvent] = []
     events = None
-
-    def move_pile(cid: int, p: int, q: int) -> None:
-        """Send cid's pile on at p/q of its value, after den grows by q."""
-        nonlocal den, exhausted
-        if q != 1:
-            den *= q
-            totals[:] = [total * q for total in totals]
-            weight[:] = [w * q for w in weight]
-            exhausted *= q
-        for t in piles[cid]:
-            w = weight[t] = weight[t] // q * p
-            for target in ballots[t].ranking:
-                if target in hopefuls:
-                    totals[target] += w
-                    piles[target].append(t)
-                    break
-            else:
-                exhausted += w
-        piles[cid] = []
 
     number = 0
     while True:
@@ -366,16 +377,27 @@ def _scottish_count(
             )
             pending_surplus.remove(c)
             surplus = totals[c] - quota_scaled
-            if surplus > 0:
-                g = math.gcd(surplus, totals[c])
-                move_pile(c, surplus // g, totals[c] // g)
-                totals[c] = quota * den
             if log:
                 events.append(RoundEvent("surplus", c))
+            if surplus <= 0:
+                continue
+            # 0 < surplus < total, so q > 1
+            g = math.gcd(surplus, totals[c])
+            p, q = surplus // g, totals[c] // g
+            moved = [(f * p, below) for f, below in piles[c]]
+            den *= q
+            totals = [total * q for total in totals]
+            exhausted *= q
+            piles = [[(f * q, below) for f, below in pile] for pile in piles]
+            totals[c] = quota * den
+            taken = surplus * q
         else:
             c = _eliminate_lowest(totals, hopefuls, number, events, tie_events)
-            move_pile(c, 1, 1)
+            moved = piles[c]
+            taken = totals[c]
             totals[c] = 0
+        piles[c] = []
+        exhausted += taken - spread(moved)
 
     return _result("scottish", quota, elected, rounds, tie_events)
 
@@ -651,7 +673,9 @@ def _ear_count(
     profile.ranks_of[chosen] that ranks the chosen within the threshold,
     then loses cut = w - w // q * p of its weight w, and so does the support
     of each candidate in its top j. A contender is one with
-    support * qd >= qn * den for the quota qn/qd.
+    support * qd >= bar, bar = qn * den for the quota qn/qd, kept as den
+    grows. The count stops at the k-th seat, once its Round is logged:
+    nothing reads that election's rescale and cuts.
     """
     m = profile.m
     quota = exact_droop_quota(sum(mults), k)
@@ -665,18 +689,17 @@ def _ear_count(
     for t, cid in ranked_at[0]:
         support[cid] += weight[t]
     den = 1
+    bar = qn  # qn * den: the quota in units of 1/den, times qd
+    unelected = list(range(m))
     elected: list[int] = []
     rounds: list[Round] | None = [] if log else None
     tie_events: list[TieEvent] = []
     notes: list[str] = []
 
     j = 1
-    while len(elected) < k:
+    while True:
         if j <= m:
-            contenders = [
-                c for c in range(m)
-                if c not in elected and support[c] * qd >= qn * den
-            ]
+            contenders = [c for c in unelected if support[c] * qd >= bar]
             if not contenders:
                 for t, cid in (ranked_at[j] if j < len(ranked_at) else ()):
                     support[cid] += weight[t]
@@ -689,7 +712,7 @@ def _ear_count(
                     "rank thresholds exhausted; remaining seats filled by "
                     "greatest support with supporter weights zeroed"
                 )
-            contenders = [c for c in range(m) if c not in elected]
+            contenders = unelected
         [chosen] = _take_first(
             contenders, 1, support.__getitem__, "election", len(elected) + 1,
             tie_events,
@@ -706,15 +729,19 @@ def _ear_count(
                 )
             )
         elected.append(chosen)
+        if len(elected) == k:
+            break
+        unelected.remove(chosen)
         # Supporters keep p/q of their weight: (support - quota) / support in
         # lowest terms, or 0 past the longest ranking.
         p, q = 0, 1
         if j <= m:
             over = support[chosen] * qd
-            g = math.gcd(over - qn * den, over)
-            p, q = (over - qn * den) // g, over // g
+            g = math.gcd(over - bar, over)
+            p, q = (over - bar) // g, over // g
         if q != 1:
             den *= q
+            bar *= q
             weight = [w * q for w in weight]
             support = [s * q for s in support]
         for t, pos in ranks_of[chosen]:

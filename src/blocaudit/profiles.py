@@ -113,14 +113,11 @@ class PreferenceProfile:
         in canonical order.
         """
         depth = max(len(bt.ranking) for bt in self.ballots)
-        return tuple(
-            tuple(
-                (t, bt.ranking[d])
-                for t, bt in enumerate(self.ballots)
-                if len(bt.ranking) > d
-            )
-            for d in range(depth)
-        )
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
+        for t, bt in enumerate(self.ballots):
+            for d, cid in enumerate(bt.ranking):
+                pairs[d].append((t, cid))
+        return tuple(map(tuple, pairs))
 
     @cached_property
     def ranks_of(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -274,7 +271,7 @@ def ballots_ranking_only(
     entries = [
         (i, bt.multiplicity)
         for i, bt in enumerate(profile.ballots)
-        if bt.ranked_set <= allowed_set
+        if allowed_set.issuperset(bt.ranking)
     ]
     return BallotSelection(tuple(entries))
 
@@ -356,11 +353,14 @@ def selection_from_rankings(
     profile: PreferenceProfile, items: Iterable[tuple[Sequence[int], int]]
 ) -> BallotSelection:
     """Build a selection from (ranking, count) pairs against this profile; a
+    ranking member or a count that is not an int (a bool is not one), a
     ranking it lacks or listed twice, or a negative count, raises InputError."""
     by_ranking = {bt.ranking: i for i, bt in enumerate(profile.ballots)}
     entries = {}
     for ranking, count in items:
         key = tuple(ranking)
+        if not all(type(x) is int for x in (*key, count)):
+            raise InputError(f"ranking {key} and count {count!r} must be integers")
         if key not in by_ranking:
             raise InputError(f"profile has no ballot type with ranking {key}")
         if count < 0:

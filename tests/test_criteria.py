@@ -987,6 +987,35 @@ def test_verify_record_refuses_a_removal_the_profile_cannot_hold(east_ayrshire):
             verify_record(bad, east_ayrshire)
 
 
+def east_ayrshire_entry_with_one_true(profile):
+    """A removed entry of one ballot whose ranking holds True where the
+    profile's ranking holds 1, so a lookup by == would find that type."""
+    ranking = next(bt.ranking for bt in profile.ballots if 1 in bt.ranking)
+    return {"ranking": [True if c == 1 else c for c in ranking], "count": 1}
+
+
+@pytest.mark.parametrize(
+    "case", ["list in ranking", "bool in ranking", "float in ranking", "bool count"]
+)
+def test_verify_record_refuses_a_removal_that_is_not_integers(east_ayrshire, case):
+    # is_record reads only the entry's two types, so each is a whole record;
+    # the selection it names is what refuses it, not a dict lookup, nor a
+    # bool or float read as the int it equals
+    record = search_ilvb(east_ayrshire, "scottish")[0]
+    doc = record_to_json(record, east_ayrshire.profile)
+    first = doc["removed"][0]
+    entry = {
+        "list in ranking": {"ranking": [[0]], "count": 1},
+        "bool in ranking": east_ayrshire_entry_with_one_true(east_ayrshire.profile),
+        "float in ranking": {**first, "ranking": [float(c) for c in first["ranking"]]},
+        "bool count": {**first, "count": True},
+    }[case]
+    bad = {**doc, "removed": [entry]}
+    assert criteria.is_record(bad)
+    with pytest.raises(InputError, match="must be integers"):
+        verify_record(bad, east_ayrshire)
+
+
 def single_edits(doc):
     """(kind, record) for each record one edit away from doc: either winner
     list replaced by the other, one removal count lowered by one, or the

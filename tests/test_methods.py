@@ -33,7 +33,7 @@ from blocaudit import (
 )
 import blocaudit.methods as methods
 import blocaudit.rationals as rationals
-from blocaudit.methods import TieEvent
+from blocaudit.methods import RoundEvent, TieEvent
 from blocaudit.rationals import ONE, ZERO, rational
 from cc_reference import reference_cc
 from conftest import (
@@ -221,6 +221,27 @@ def test_take_first_matches_sorting_every_candidate():
         ties["empty"] += not pool
         ties["all"] += n >= len(pool)
     assert min(ties.values()) > 50
+
+
+def test_eliminate_lowest_matches_sorting_the_hopefuls():
+    # few distinct totals, so the lowest is often tied
+    rng = random.Random(8128)
+    ties = 0
+    for _ in range(3000):
+        totals = [rng.randint(0, 3) for _ in range(12)]
+        hopefuls = set(rng.sample(range(12), rng.randint(1, 8)))
+        order = sorted(hopefuls, key=lambda c: (totals[c], c))
+        tied = tuple(c for c in order if totals[c] == totals[order[0]])
+        want = [TieEvent(4, "elimination", tied, tied[:1])] if len(tied) > 1 else []
+        left = hopefuls - {order[0]}
+        events, got = [], []
+        out = methods._eliminate_lowest(totals, hopefuls, 4, events, got)
+        assert out == order[0]
+        assert got == want
+        assert events == [RoundEvent("eliminated", out)]
+        assert hopefuls == left
+        ties += bool(want)
+    assert ties > 300
 
 
 def test_scottish_all_remaining_fill_seats():
@@ -782,6 +803,56 @@ def test_scottish_round_logs_match_rational_reference_on_loser_removals():
         assert_same_count(tabulate(reduced, "scottish"), reference_scottish(reduced))
         probes += 1
     assert probes >= 10
+
+
+# ----------------------------- the log-free counts at zeroed multiplicities
+
+
+def test_scottish_and_ear_counts_are_exact_at_zeroed_multiplicities(monkeypatch):
+    # A probe runs a count over the source types at multiplicities some of
+    # which are 0. Its winners and tie events must be the logged count's,
+    # and that must be the rational reference's count of the reduced
+    # election. _result is where every count hands over its tie events.
+    handed = []
+    result = methods._result
+
+    def spy(method, quota, elected, rounds, tie_events, notes=()):
+        handed.append(list(tie_events))
+        return result(method, quota, elected, rounds, tie_events, notes)
+
+    monkeypatch.setattr(methods, "_result", spy)
+    references = {"scottish": reference_scottish, "ear": reference_ear}
+    seen = Counter()
+    rng = random.Random(20261022)
+    for _ in range(1000):
+        m = rng.randint(3, 7)
+        ballots = {
+            tuple(rng.sample(range(m), rng.randint(1, m))): rng.randint(1, 4)
+            for _ in range(rng.randint(2, 14))
+        }
+        election = make_election([f"c{i}" for i in range(m)], ballots.items(),
+                                 rng.randint(1, min(4, m - 1)))
+        profile = election.profile
+        mults = [n if rng.random() < 0.7 else 0 for n in profile.multiplicities]
+        if not any(mults):
+            mults[0] = profile.multiplicities[0]
+        gone = BallotSelection(tuple(
+            (t, n) for t, (n, left) in enumerate(zip(profile.multiplicities, mults))
+            if not left
+        ))
+        reduced = Election(remove_ballots(profile, gone), election.k)
+        for tag, reference in references.items():
+            logged = methods.COUNTS[tag](profile, mults, election.k, log=True)
+            free = methods.COUNTS[tag](profile, mults, election.k)
+            assert free.log is None
+            assert free.winners == logged.winners
+            assert handed[-1] == logged.log.tie_events
+            want = reference(reduced)
+            assert_same_count(logged, want)
+            seen.update(f"{tag} {e.kind}" for e in want.log.tie_events)
+            seen[f"{tag} notes"] += bool(want.log.notes)
+    for branch in ("scottish elimination", "scottish surplus_order", "ear notes"):
+        assert seen[branch], branch
 
 
 # ------------------------------------------------------ Chamberlin-Courant
