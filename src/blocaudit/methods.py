@@ -233,7 +233,7 @@ def _eliminate_lowest(
     """Eliminate the hopeful with the lowest total and return them.
 
     totals is as for _elect_crossers. A tie goes to the lower id and is
-    recorded as an "elimination" tie, as _take_first records one.
+    recorded as an "elimination" tie.
     """
     tied: list[int] = []
     for c in hopefuls:
@@ -242,10 +242,9 @@ def _eliminate_lowest(
             low, tied = v, [c]
         elif v == low:
             tied.append(c)
+    out = min(tied)
     if len(tied) > 1:
-        tied.sort()
-        tie_events.append(TieEvent(number, "elimination", tuple(tied), (tied[0],)))
-    out = tied[0]
+        tie_events.append(TieEvent(number, "elimination", tuple(sorted(tied)), (out,)))
     hopefuls.remove(out)
     if events is not None:
         events.append(RoundEvent("eliminated", out))
@@ -295,21 +294,17 @@ def _scottish_count(
     published votes-by-round layout.
 
     The count adds integers over one common denominator den, which starts
-    at 1, as EAR's does. A candidate's pile holds (f, children) items, one
-    per PreferenceProfile.prefix_tree node with children whose prefix ends
-    at that candidate: each ballot of the node's live types is worth f.
-    Types whose ranking ends at the candidate are in the total alone. A
-    transfer at p/q (surplus/total in lowest terms, or 1/1 for an
-    elimination) multiplies den, every total, the exhausted weight and the
-    f of every item still held by q, and the f of each moved item by p.
-    The moved nodes are walked on to their first hopeful children, through
-    the others, and what the transfer takes from the holder but brings to
-    no hopeful exhausts. First preferences are the walk from the root at
-    f = 1. These are the integers of a count that weighs each type alone,
-    at w // q * p after the multiply by q, which is w_old * p exactly:
-    types that share a prefix up to their holder moved together at every
-    transfer, so their weights stay in proportion to their multiplicities.
-    Totals are compared with the quota as total >= quota * den.
+    at 1, as EAR's does. A pile holds (f, children) items, one per node of
+    PreferenceProfile.prefix_tree whose prefix ends at the holder: each
+    ballot of the node's live types is worth f. A transfer at p/q
+    (surplus/total in lowest terms, or 1/1 for an elimination) multiplies
+    den, every total, the exhausted weight and every held f by q, and each
+    moved f by p, then walks the moved nodes on to their first hopeful
+    children; what reaches none exhausts. Weighing each type alone, at
+    w // q * p after the multiply by q (w * p before it), gives the same
+    integers: types that share a prefix up to their holder moved together
+    at every transfer, so their weights stay in proportion to their
+    multiplicities. Totals are compared with the quota as total >= quota * den.
     """
     m = profile.m
     quota = droop_quota(sum(mults), k)
@@ -319,31 +314,9 @@ def _scottish_count(
     piles: list[list[tuple[int, tuple]]] = [[] for _ in range(m)]
     totals = [0] * m
     den = 1
-    exhausted = 0
-
-    def spread(stack: list[tuple[int, tuple]]) -> int:
-        """Put the types of (f, children) items on the piles of the first
-        hopeful each ranks, emptying stack; return the weight added to the
-        hopefuls' totals."""
-        added = 0
-        while stack:
-            f, children = stack.pop()
-            for c, lo, hi, (_, below) in children:
-                n = cum[hi] - cum[lo]
-                if not n:
-                    continue
-                if c in hopefuls:
-                    w = f * n
-                    totals[c] += w
-                    added += w
-                    if below:
-                        piles[c].append((f, below))
-                elif below:
-                    stack.append((f, below))
-        return added
-
-    spread([(1, profile.prefix_tree[1][1])])
-
+    # the items yet to walk on to a hopeful, whose weight exhausts till then
+    moved = [(1, profile.prefix_tree[1][1])]
+    exhausted = cum[-1]
     elected: list[int] = []
     pending_surplus: list[int] = []
     rounds: list[Round] | None = [] if log else None
@@ -352,6 +325,20 @@ def _scottish_count(
 
     number = 0
     while True:
+        while moved:
+            f, children = moved.pop()
+            for c, lo, hi, (_, below) in children:
+                n = cum[hi] - cum[lo]
+                if not n:
+                    continue
+                if c in hopefuls:
+                    w = f * n
+                    totals[c] += w
+                    exhausted -= w
+                    if below:
+                        piles[c].append((f, below))
+                elif below:
+                    moved.append((f, below))
         number += 1
         if log:
             rnd = Round(
@@ -379,25 +366,21 @@ def _scottish_count(
             surplus = totals[c] - quota_scaled
             if log:
                 events.append(RoundEvent("surplus", c))
-            if surplus <= 0:
-                continue
-            # 0 < surplus < total, so q > 1
-            g = math.gcd(surplus, totals[c])
-            p, q = surplus // g, totals[c] // g
-            moved = [(f * p, below) for f, below in piles[c]]
-            den *= q
-            totals = [total * q for total in totals]
-            exhausted *= q
-            piles = [[(f * q, below) for f, below in pile] for pile in piles]
-            totals[c] = quota * den
-            taken = surplus * q
+            if surplus > 0:
+                g = math.gcd(surplus, totals[c])
+                p, q = surplus // g, totals[c] // g  # 0 < surplus < total: q > 1
+                moved = [(f * p, below) for f, below in piles[c]]
+                piles[c] = []
+                den *= q
+                totals = [total * q for total in totals]
+                piles = [[(f * q, below) for f, below in pile] for pile in piles]
+                exhausted = (exhausted + surplus) * q
+                totals[c] = quota * den
         else:
             c = _eliminate_lowest(totals, hopefuls, number, events, tie_events)
-            moved = piles[c]
-            taken = totals[c]
+            moved, piles[c] = piles[c], []
+            exhausted += totals[c]
             totals[c] = 0
-        piles[c] = []
-        exhausted += taken - spread(moved)
 
     return _result("scottish", quota, elected, rounds, tie_events)
 
@@ -568,8 +551,7 @@ def _meek_count(
             )
             rounds.append(rnd)
             events = rnd.events
-        if len(hopefuls) == k - len(elected):
-            _elect_remaining(hopefuls, elected, k, events)
+        if _elect_remaining(hopefuls, elected, k, events):
             break
 
         # only a round that fills the seats outright is not an iteration
@@ -672,10 +654,8 @@ def _ear_count(
     every weight and every support by q; each supporter, a type in
     profile.ranks_of[chosen] that ranks the chosen within the threshold,
     then loses cut = w - w // q * p of its weight w, and so does the support
-    of each candidate in its top j. A contender is one with
-    support * qd >= bar, bar = qn * den for the quota qn/qd, kept as den
-    grows. The count stops at the k-th seat, once its Round is logged:
-    nothing reads that election's rescale and cuts.
+    of each candidate in its top j. A contender is one with support * qd >=
+    bar = qn * den, for the quota qn/qd. The count stops at the k-th seat.
     """
     m = profile.m
     quota = exact_droop_quota(sum(mults), k)
